@@ -111,9 +111,6 @@ def run_connt(
             raise ProtocolError(
                 "Co-NNT did not terminate under fault recovery"
             )
-        # A node that slept through earlier wakes (crash window) resumes
-        # at its own next radius, so probes stay a doubling sequence
-        # per node even when the global phase counter has moved on.
         if trace.enabled:
             trace.emit(
                 "probe_phase",
@@ -121,18 +118,9 @@ def run_connt(
                 round=kernel.rounds,
                 searching=len(alive),
             )
-        groups: dict[int, list[int]] = {}
-        for i in alive:
-            groups.setdefault(min(nodes[i]._phase + 1, phase), []).append(i)
-        for ph in sorted(groups):
-            kernel.wake(groups[ph], "probe", (ph,))
-        kernel.run_until_quiescent()
-        if reliable:
-            drain_reliable(kernel, nodes)
-        kernel.wake(alive, "decide")
-        kernel.run_until_quiescent()
-        if reliable:
-            drain_reliable(kernel, nodes)
+        run_probe_phase(
+            kernel, nodes, probe_waves(nodes, alive, phase), alive, reliable=reliable
+        )
         max_probe_radius = max(
             max_probe_radius,
             max((nodes[i].last_radius for i in alive), default=0.0),
@@ -163,6 +151,36 @@ def run_connt(
             "unconnected_nodes": unconnected,
         },
     )
+
+
+def probe_waves(nodes, alive, phase: int) -> dict[int, list[int]]:
+    """Group the ``alive`` searchers by the probe phase each runs now.
+
+    A node that slept through earlier wakes (crash window) resumes at its
+    own next radius, so probes stay a doubling sequence per node even
+    when the global phase counter has moved on.
+    """
+    waves: dict[int, list[int]] = {}
+    for i in alive:
+        waves.setdefault(min(nodes[i]._phase + 1, phase), []).append(i)
+    return waves
+
+
+def run_probe_phase(kernel, nodes, waves, alive, *, reliable: bool = True) -> None:
+    """One probe/decide wave: every ``waves`` group (phase -> node ids)
+    probes, the network settles, ``alive`` decide, it settles again.
+
+    ``reliable`` drains the ACK/retry layer after each settle.
+    """
+    for ph in sorted(waves):
+        kernel.wake(waves[ph], "probe", (ph,))
+    kernel.run_until_quiescent()
+    if reliable:
+        drain_reliable(kernel, nodes)
+    kernel.wake(alive, "decide")
+    kernel.run_until_quiescent()
+    if reliable:
+        drain_reliable(kernel, nodes)
 
 
 def _reprobe_stranded(kernel, nodes, max_phase: int) -> None:
@@ -214,12 +232,7 @@ def _reprobe_stranded(kernel, nodes, max_phase: int) -> None:
         # A phase index beyond max_phase caps the radius at sqrt(2):
         # the probe covers the whole square, and bumping it per attempt
         # keeps each probe a genuinely new phase (fresh reply list).
-        kernel.wake(alive, "probe", (max_phase + 2 + attempt,))
-        kernel.run_until_quiescent()
-        drain_reliable(kernel, nodes)
-        kernel.wake(alive, "decide")
-        kernel.run_until_quiescent()
-        drain_reliable(kernel, nodes)
+        run_probe_phase(kernel, nodes, {max_phase + 2 + attempt: alive}, alive)
     raise ProtocolError(
         "Co-NNT re-probe did not connect all stranded nodes in 200 attempts"
     )

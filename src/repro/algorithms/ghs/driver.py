@@ -31,6 +31,13 @@ participates and *then* crashes forever is reported as a
 :class:`~repro.errors.ProtocolError` (by retry exhaustion, settle
 non-convergence, or the explicit leader check) — never as a silently
 wrong tree.
+
+**Stepping.**  The loops are generators — :func:`hello_steps`,
+:func:`phase_steps`, :meth:`GHSRecovery.settle_steps` — that yield once
+per advanced round and once at every stage barrier; :func:`hello_round`,
+:func:`run_ghs_phases` and :meth:`GHSRecovery.settle` drain them.  The
+fuzz harness (:mod:`repro.fuzz.harness`) advances the same generators a
+few rounds at a time, so the fuzzer exercises this code, not a copy.
 """
 
 from __future__ import annotations
@@ -64,6 +71,32 @@ def fragment_histogram(nodes: Sequence[GHSNode]) -> tuple[int, list[list[int]]]:
     by_fid = Counter(nd.fid for nd in nodes)
     sizes = Counter(by_fid.values())
     return len(by_fid), [[s, c] for s, c in sorted(sizes.items())]
+
+
+#: What the stepping generators (:func:`hello_steps`, :func:`phase_steps`,
+#: :meth:`GHSRecovery.settle_steps`) yield.  ``ROUND``: one round advanced
+#: inside a stage.  ``WAIT``: one round idled at a phase boundary while a
+#: fragment leader's crash window runs out.  ``BARRIER``: a stage reached
+#: quiescence (settled and repaired under recovery); no round advanced.
+ROUND = "round"
+WAIT = "wait"
+BARRIER = "barrier"
+
+
+def drain(steps):
+    """Run a stepping generator to its end; returns its return value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+def quiescence_steps(kernel: SynchronousKernel):
+    """:meth:`~repro.sim.kernel.SynchronousKernel.run_until_quiescent`,
+    one :data:`ROUND` yield per advanced round."""
+    for _ in kernel.quiescence_steps():
+        yield ROUND
 
 
 class GHSRecovery:
@@ -214,14 +247,19 @@ class GHSRecovery:
         ``phase`` enables the stage-B straggler re-wake; ``None`` (hello
         rounds, stage A) skips it.
         """
+        drain(self.settle_steps(phase))
+
+    def settle_steps(self, phase: int | None = None):
+        """:meth:`settle` as a generator: yields :data:`ROUND` after every
+        advanced round and :data:`BARRIER` once settled."""
         kernel = self.kernel
         nodes = self.nodes
         fp = kernel.faults
         if fp is None:
-            kernel.run_until_quiescent()
+            yield from quiescence_steps(kernel)
         else:
             for _ in range(self.max_iters):
-                kernel.run_until_quiescent()
+                yield from quiescence_steps(kernel)
                 rnd = kernel.rounds
                 holders = [
                     nd.id
@@ -247,8 +285,10 @@ class GHSRecovery:
                         kernel.wake(alive, "retry_tick")
                         if not kernel.in_flight:
                             kernel.tick()  # backoff armed: let a round pass
+                            yield ROUND
                     else:
                         kernel.tick()  # every live holder is down: wait
+                        yield ROUND
                     continue
                 ready, blocked = self._stale_floods(rnd)
                 if ready:
@@ -261,6 +301,7 @@ class GHSRecovery:
                         continue
                 if blocked:
                     kernel.tick()
+                    yield ROUND
                     continue
                 if phase is not None:
                     todo, waiting = self._unsearched(phase, rnd)
@@ -273,6 +314,7 @@ class GHSRecovery:
                         continue
                     if waiting:
                         kernel.tick()
+                        yield ROUND
                         continue
                 break
             else:
@@ -286,11 +328,23 @@ class GHSRecovery:
             from repro.algorithms.ghs.audit import audit_recovery
 
             audit_recovery(nodes, kernel=kernel)
+        yield BARRIER
 
 
-def _live_leaders(
-    kernel: SynchronousKernel, nodes: Sequence[GHSNode]
-) -> list[int]:
+def _barrier_steps(
+    kernel: SynchronousKernel,
+    recovery: GHSRecovery | None,
+    phase: int | None = None,
+):
+    """One stage barrier: quiescence, or the settle loop under recovery."""
+    if recovery is not None:
+        yield from recovery.settle_steps(phase)
+    else:
+        yield from quiescence_steps(kernel)
+        yield BARRIER
+
+
+def _live_leader_steps(kernel: SynchronousKernel, nodes: Sequence[GHSNode]):
     """Active leaders, fault-aware: waits out transient crash windows,
     drops never-started nodes, rejects mid-run permanent leader deaths.
 
@@ -300,8 +354,9 @@ def _live_leaders(
     the phase loop.  A leader that *participated* and then died forever
     would leave its whole fragment silently orphaned; that is out of
     recovery scope and raised as an error instead.  Transiently crashed
-    leaders gate the phase barrier: the clock idles until every surviving
-    leader can hear its ``initiate`` wake.
+    leaders gate the phase barrier: the clock idles (one :data:`WAIT`
+    per round) until every surviving leader can hear its ``initiate``
+    wake.  Returns the leaders.
     """
     leaders = active_leaders(nodes)
     fp = kernel.faults
@@ -322,6 +377,7 @@ def _live_leaders(
     waited = 0
     while any(fp.crashed(i, kernel.rounds) for i in alive):
         kernel.tick()
+        yield WAIT
         waited += 1
         if waited > 1_000_000:
             raise ProtocolError(
@@ -346,15 +402,12 @@ def run_ghs_phases(
     (phase numbers only need to be fresh, never dense).  ``recovery``
     (fault runs) replaces each stage barrier with a settle/repair loop.
     """
-    n = max(len(nodes), 2)
     if max_phases is None:
-        # Fragments at least halve every phase; the slack covers step-2
-        # restarts and absorb-only phases.
-        max_phases = 2 * int(math.log2(n)) + 20
+        max_phases = _default_max_phases(nodes)
     if recovery is None:
         # Turbo kernels run eligible configurations (modified mode, flood
         # planes live, no faults) as whole-round array programs — an
-        # observational clone of the loop below (see ghs/turbo.py).
+        # observational clone of ``phase_steps`` (see ghs/turbo.py).
         from repro.algorithms.ghs.turbo import run_phases_turbo
 
         ran = run_phases_turbo(
@@ -362,11 +415,44 @@ def run_ghs_phases(
         )
         if ran is not None:
             return ran
+    return drain(
+        phase_steps(
+            kernel,
+            nodes,
+            start_phase=start_phase,
+            max_phases=max_phases,
+            recovery=recovery,
+        )
+    )
+
+
+def _default_max_phases(nodes: Sequence[GHSNode]) -> int:
+    # Fragments at least halve every phase; the slack covers step-2
+    # restarts and absorb-only phases.
+    return 2 * int(math.log2(max(len(nodes), 2))) + 20
+
+
+def phase_steps(
+    kernel: SynchronousKernel,
+    nodes: Sequence[GHSNode],
+    *,
+    start_phase: int = 1,
+    max_phases: int | None = None,
+    recovery: GHSRecovery | None = None,
+):
+    """The scalar phase loop of :func:`run_ghs_phases` as a generator.
+
+    Yields once per advanced round (:data:`ROUND`, or :data:`WAIT` while
+    the phase barrier idles on a crashed leader) and :data:`BARRIER` at
+    the end of every stage; returns the number of phases executed.
+    """
+    if max_phases is None:
+        max_phases = _default_max_phases(nodes)
     phase = start_phase - 1
     executed = 0
     fp = kernel.faults
     while True:
-        leaders = _live_leaders(kernel, nodes)
+        leaders = yield from _live_leader_steps(kernel, nodes)
         if not leaders:
             return executed
         phase += 1
@@ -384,10 +470,7 @@ def run_ghs_phases(
                 active=len(leaders),
             )
         kernel.wake(leaders, "initiate", (phase,))
-        if recovery is not None:
-            recovery.settle()
-        else:
-            kernel.run_until_quiescent()
+        yield from _barrier_steps(kernel, recovery)
         participants = [
             nd.id for nd in nodes if nd.cur_phase == phase and not nd.passive
         ]
@@ -419,10 +502,7 @@ def run_ghs_phases(
                     nd.apply_moe(cand_l[idx], kd_l[idx], klo_l[idx], khi_l[idx])
         else:
             kernel.wake(participants, "find_moe", (phase,))
-        if recovery is not None:
-            recovery.settle(phase=phase)
-        else:
-            kernel.run_until_quiescent()
+        yield from _barrier_steps(kernel, recovery, phase)
         if trace.enabled:
             fragments, sizes = fragment_histogram(nodes)
             trace.emit(
@@ -455,6 +535,18 @@ def hello_round(
     density-gated tables, or ``planes=False`` — the classic per-node
     wake path runs and nodes fall back to their dict caches.
     """
+    drain(hello_steps(kernel, radius, planes=planes, recovery=recovery))
+
+
+def hello_steps(
+    kernel: SynchronousKernel,
+    radius: float,
+    *,
+    planes: bool = True,
+    recovery: GHSRecovery | None = None,
+):
+    """:func:`hello_round` as a generator: yields :data:`ROUND` after
+    every advanced round and :data:`BARRIER` once settled."""
     nodes = kernel.nodes
     fp = kernel.faults
     r = float(radius)
@@ -493,6 +585,4 @@ def hello_round(
         kernel.wake(range(kernel.n), "hello", (radius,))
     if recovery is not None:
         recovery._radius = r
-        recovery.settle()
-    else:
-        kernel.run_until_quiescent()
+    yield from _barrier_steps(kernel, recovery)

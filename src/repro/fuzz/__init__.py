@@ -2,8 +2,9 @@
 
 The subsystem has two halves:
 
-* hypothesis-free core — :mod:`~repro.fuzz.harness` (a resumable,
-  step-at-a-time twin of the recovery driver), :mod:`~repro.fuzz.world`,
+* hypothesis-free core — :mod:`~repro.fuzz.harness` (steps the
+  production GHS driver generators a round at a time; the turbo engine
+  is stepped only by the ``maint`` machine), :mod:`~repro.fuzz.world`,
   :mod:`~repro.fuzz.retry_world` and :mod:`~repro.fuzz.connt_world`
   (rule targets with built-in
   invariants), :mod:`~repro.fuzz.recorder` (fate-determinism replay),

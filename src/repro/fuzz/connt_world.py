@@ -37,7 +37,11 @@ from __future__ import annotations
 import math
 
 from repro.algorithms.connt.node import CoNNTNode, diagonal_key
-from repro.algorithms.connt.runner import _reprobe_stranded
+from repro.algorithms.connt.runner import (
+    _reprobe_stranded,
+    probe_waves,
+    run_probe_phase,
+)
 from repro.errors import ProtocolError
 from repro.fuzz.recorder import RecordingFaultPlane, verify_fate_determinism
 from repro.sim.faults import FaultPlan, RetryBuffer, drain_reliable
@@ -177,9 +181,10 @@ class ConntRetryWorld:
     def probe_step(self) -> None:
         """One protocol phase: probe wave, settle, decide, settle.
 
-        Mirrors the runner's loop body exactly (including per-node phase
-        resumption for nodes that slept through wakes in crash windows),
-        so rule interleavings explore real executions.
+        Runs the runner's own phase (:func:`~repro.algorithms.connt.
+        runner.run_probe_phase` over :func:`~repro.algorithms.connt.
+        runner.probe_waves`, which resumes nodes that slept through wakes
+        in crash windows), so rule interleavings explore real executions.
         """
         self.ops.append(["probe_step"])
         self.steps += 1
@@ -199,22 +204,16 @@ class ConntRetryWorld:
                 # clock one round instead of probing nobody.
                 self.kernel.tick()
                 return
-            self.phase += 1
-            groups: dict[int, list[int]] = {}
-            for i in alive:
-                groups.setdefault(
-                    min(self.nodes[i]._phase + 1, self.phase), []
-                ).append(i)
-            for ph in sorted(groups):
-                self.kernel.wake(groups[ph], "probe", (ph,))
-            self.kernel.run_until_quiescent()
-            drain_reliable(self.kernel, self.nodes)
-            self.kernel.wake(alive, "decide")
-            self.kernel.run_until_quiescent()
-            drain_reliable(self.kernel, self.nodes)
+            self._probe(alive)
         except Exception:
             self.failed = True
             raise
+
+    def _probe(self, alive: list[int]) -> None:
+        self.phase += 1
+        run_probe_phase(
+            self.kernel, self.nodes, probe_waves(self.nodes, alive, self.phase), alive
+        )
 
     def run_rounds(self, k: int) -> None:
         """Idle the clock (ages crash windows and retry backoffs)."""
@@ -285,19 +284,7 @@ class ConntRetryWorld:
                 if not alive:
                     self.kernel.tick()
                     continue
-                self.phase += 1
-                groups: dict[int, list[int]] = {}
-                for i in alive:
-                    groups.setdefault(
-                        min(self.nodes[i]._phase + 1, self.phase), []
-                    ).append(i)
-                for ph in sorted(groups):
-                    self.kernel.wake(groups[ph], "probe", (ph,))
-                self.kernel.run_until_quiescent()
-                drain_reliable(self.kernel, self.nodes)
-                self.kernel.wake(alive, "decide")
-                self.kernel.run_until_quiescent()
-                drain_reliable(self.kernel, self.nodes)
+                self._probe(alive)
             _reprobe_stranded(self.kernel, self.nodes, self.max_phase)
             drain_reliable(self.kernel, self.nodes)
             self.finished = True

@@ -1,10 +1,13 @@
 """Multi-backend lockstep world for GHS-family fuzzing.
 
 A :class:`GHSFuzzWorld` holds one :class:`~repro.fuzz.harness.
-StepHarness` per registered kernel configuration (fast/legacy/turbo ×
+StepHarness` — the production GHS driver generators, stepped a round at
+a time — per registered kernel configuration (fast/legacy/turbo ×
 planes on/off) over the *same* instance and fault plan, and applies
 every fuzz rule — advance N rounds, open a transient crash window, move
-the power cap — to all of them.  Because equivalent configurations are
+the power cap — to all of them.  The turbo configuration runs the
+scalar phase loop on the turbo kernel; the whole-round phase engine
+cannot stop between rounds and is fuzzed by the ``maint`` machine.  Because equivalent configurations are
 bit-identical round for round (the kernel equivalence contract), the
 harnesses stay aligned; :meth:`check_alignment` asserts it after every
 rule, and :meth:`finish` asserts the full endgame: identical trees and

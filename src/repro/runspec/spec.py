@@ -288,6 +288,15 @@ class RunSpec:
         changing its outcome, so an instrumented and a bare run of the
         same configuration share one
         :class:`~repro.store.ResultStore` entry.
+
+        ``kernel`` and ``planes`` stay in the key.  Backends agree bit for
+        bit on the headline totals only: their energy breakdowns
+        (``energy_by_kind``, ``energy_by_node``, EOPT's
+        ``step1_energy``) sum in a different order and differ in the last
+        digits (MGHS n=200 seed 11: ANNOUNCE energy 48.1511082271892
+        under ``fast``, 48.151108227188594 under ``turbo``).  A hit
+        across backends would serve bytes that differ from
+        ``execute(spec)``.
         """
         data = self.to_dict()
         del data["perf"], data["trace"]

@@ -1124,7 +1124,15 @@ class SynchronousKernel:
     def run_until_quiescent(self, max_rounds: int = 1_000_000) -> int:
         """Run rounds until no messages are in flight; returns rounds run."""
         ran = 0
-        while self._n_pending or self._pending or self._n_plane_pending:
+        for _ in self.quiescence_steps(max_rounds):
+            ran += 1
+        return ran
+
+    def quiescence_steps(self, max_rounds: int = 1_000_000):
+        """:meth:`run_until_quiescent` as a generator that yields after
+        every round, so a driver can stop between rounds."""
+        ran = 0
+        while self.in_flight:
             self.step()
             ran += 1
             if ran > max_rounds:
@@ -1132,7 +1140,7 @@ class SynchronousKernel:
                     f"no quiescence after {max_rounds} rounds — "
                     "protocol is probably livelocked"
                 )
-        return ran
+            yield
 
     @property
     def in_flight(self) -> int:

@@ -242,23 +242,6 @@ class TurboKernel(SynchronousKernel):
         self._round_advanced()
         return delivered
 
-    def run_until_quiescent(self, max_rounds: int = 1_000_000) -> int:
-        ran = 0
-        while (
-            self._n_pending
-            or self._pending
-            or self._n_plane_pending
-            or self._n_flat_pending
-        ):
-            self.step()
-            ran += 1
-            if ran > max_rounds:
-                raise SimulationError(
-                    f"no quiescence after {max_rounds} rounds — "
-                    "protocol is probably livelocked"
-                )
-        return ran
-
     @property
     def in_flight(self) -> int:
         return super().in_flight + self._n_flat_pending

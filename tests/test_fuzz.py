@@ -1,10 +1,10 @@
 """Fuzz subsystem tests: harness fidelity, worlds, corpus, machines.
 
 The load-bearing property is harness fidelity: :class:`repro.fuzz.
-harness.StepHarness` re-expresses the production driver loop as a
-resumable generator, and everything the fuzzer concludes rests on that
-loop being *bit-identical* to the runner — same tree, same stats, same
-rounds, clean and faulted alike.  The corpus tests replay every
+harness.StepHarness` steps the production driver generators round by
+round, and everything the fuzzer concludes rests on stepping being
+*bit-identical* to draining them in the runner — same tree, same stats,
+same rounds, clean and faulted alike — however the rounds are chunked.  The corpus tests replay every
 checked-in counterexample (``tests/corpus/``) so a fixed bug stays
 fixed; the machine tests give the hypothesis layer a tiny deterministic
 budget as an import-to-teardown smoke.

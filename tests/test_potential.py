@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.points import uniform_points
@@ -73,6 +73,9 @@ class TestPotentialDistance:
 
 class TestPotentialAngle:
     @given(st.lists(st.tuples(unit, unit), min_size=1, max_size=40))
+    # One ulp off the corner: x + y rounds to 2.0 there.
+    @example([(1.0, 0.9999999999999999)])
+    @example([(0.9999999999999999, 1.0)])
     def test_lemma_6_1(self, pts):
         """alpha_u >= 1/2 for every node except a node exactly at (1,1)."""
         arr = np.array(pts)

@@ -37,6 +37,7 @@ class TestSpecHash:
         base = RunSpec(algorithm="GHS", n=100)
         assert base.result_key() != base.with_(rx_cost=0.5).result_key()
         assert base.result_key() != base.with_(kernel="turbo").result_key()
+        assert base.result_key() != base.with_(planes=False).result_key()
 
     def test_report_payload_stamped_and_validated(self):
         spec = RunSpec(algorithm="Co-NNT", n=60)
