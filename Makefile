@@ -55,8 +55,8 @@ bench:
 bench-planes:
 	$(PY) benchmarks/bench_flood_planes.py
 
-# Turbo-backend scaling run: nodes/sec + peak RSS at n up to 10^6 through
-# the chunked instance layout, plus the >=10x turbo-vs-legacy gate.
+# Turbo-backend scaling run: nodes/sec, peak RSS and the run's own
+# neighbor-table build at n up to 10^6, plus the >=10x turbo-vs-legacy gate.
 # Writes benchmarks/out/BENCH_scale.json.  The million-node cell takes
 # minutes; use `benchmarks/bench_scale.py --quick` for the n=10^4 cut.
 bench-scale:

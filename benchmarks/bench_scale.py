@@ -4,9 +4,9 @@
 Runs modified GHS through the turbo kernel (whole-round array programs)
 at n in {10^4, 10^5, 10^6}, recording wall time, throughput in nodes/sec,
 round counts and the peak-RSS counter sampled at round boundaries by
-``repro.perf``.  The million-node instance is built through the
-layout-aware instance cache with the turbo backend's ``chunked`` CSR
-layout (memmap spill past the threshold), which is what lets it fit.
+``repro.perf``.  Each row also reports the neighbor-table build the run
+itself does (``neighbor_csr_arrays``, in RAM), read from the run's own
+perf snapshot.
 
 Three gates, each fatal:
 
@@ -47,7 +47,6 @@ from repro.geometry.radius import (  # noqa: E402
 )
 from repro.perf import PEAK_RSS_COUNTER  # noqa: E402
 from repro.runspec import RunSpec, execute  # noqa: E402
-from repro.sim import kernel_layout  # noqa: E402
 
 GOLDEN_PATH = REPO / "benchmarks" / "golden" / "scale.json"
 OUT_PATH = REPO / "benchmarks" / "out" / "BENCH_scale.json"
@@ -121,23 +120,16 @@ def speedup_gate(reps: int) -> dict:
 
 
 def scale_row(n: int) -> dict:
-    """Build the chunked instance, run MGHS on turbo, record throughput."""
-    from repro.experiments.instances import get_graph
-
-    layout = kernel_layout("turbo")
+    """Run MGHS on turbo, record throughput and the run's own table build."""
     r = connectivity_radius(n, PAPER_GHS_RADIUS_CONST)
-    t0 = time.perf_counter()
-    g = get_graph(n, SEED, r, layout=layout)
-    build_s = time.perf_counter() - t0
-    m = int(g.m)
     report, run_s = _run(n, perf=True)
     counters = report.perf["counters"]
+    build = report.perf["timers"]["kernel.nbr_table_build"]
     row = {
         "n": n,
         "radius": r,
-        "layout": layout,
-        "edges": m,
-        "build_s": round(build_s, 3),
+        "table_entries": int(counters["kernel.nbr_table_entries"]),
+        "build_s": round(build["total_s"], 3),
         "run_s": round(run_s, 3),
         "nodes_per_s": round(n / run_s, 1),
         "peak_rss_bytes": int(counters.get(PEAK_RSS_COUNTER, 0)),

@@ -1,7 +1,7 @@
 """Whole-round array programs for the GHS family's Borůvka phases.
 
-This is the algorithm half of the turbo backend (the kernel half is
-:class:`repro.sim.turbo.TurboKernel`): when a run is *eligible* —
+This is the whole of the turbo backend (:class:`repro.sim.kernel.TurboKernel`
+is only the marker that opts a run in): when a run is *eligible* —
 modified-mode GHS/EOPT on a turbo kernel with flood planes live, no
 fault plan, no reliable transport, no reception cost — the driver's
 per-message phase loop is replaced by :class:`TurboPhaseEngine`, which
@@ -63,16 +63,32 @@ from repro.errors import ProtocolError
 from repro.algorithms.ghs.node import GHSNode
 from repro.perf import perf
 from repro.sim.kernel import concat_ranges as _concat_ranges
-from repro.sim.turbo import seq_energy_accumulate
 from repro.trace import trace
 
-__all__ = ["turbo_phase_engine", "run_phases_turbo", "TurboPhaseEngine"]
+__all__ = [
+    "turbo_phase_engine",
+    "run_phases_turbo",
+    "TurboPhaseEngine",
+    "seq_energy_accumulate",
+]
 
 # Emission kind codes (column values in the per-round emission table).
 _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB = range(6)
 _KIND_NAMES = ("INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSORB")
 
 _INF = math.inf
+
+
+def seq_energy_accumulate(total: float, energies: np.ndarray) -> float:
+    """``total`` advanced by every element of ``energies``, *in order*.
+
+    The ledger total must move through the exact left-to-right partial
+    sums the per-message kernel's ``+=`` loop produces, so pairwise or
+    compensated summation is off the table.  Ufunc accumulation is
+    defined as sequential application, so a ``np.add.accumulate`` chain
+    seeded with ``total`` is bit-identical to that loop.
+    """
+    return float(np.add.accumulate(np.concatenate(([total], energies)))[-1])
 
 
 def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | None":

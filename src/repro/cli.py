@@ -7,7 +7,7 @@ Gives downstream users the paper's experiments without writing code:
   :func:`repro.runspec.engine.execute`; ``--spec``/``--emit-spec``
   round-trip the spec as JSON);
 * ``algorithms`` — the registered algorithm labels and capabilities;
-* ``kernels``    — the registered kernel backends (see
+* ``kernels``    — the kernel backends (see
   :mod:`repro.sim.backends`);
 * ``fig3a`` / ``fig3b`` — the energy sweep and the slope fits;
 * ``fig1`` / ``fig2``   — percolation picture / potential-region lemmas;
@@ -202,18 +202,13 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    from repro.sim.backends import kernel_entries
+    from repro.sim.backends import kernel_class, kernel_names
 
     rows = [
-        (
-            e.name,
-            "yes" if e.reference else "no",
-            e.instance_layout,
-            e.summary,
-        )
-        for e in kernel_entries()
+        (name, kernel_class(name).__doc__.strip().splitlines()[0])
+        for name in kernel_names()
     ]
-    print(format_table(["kernel", "reference", "layout", "summary"], rows))
+    print(format_table(["kernel", "summary"], rows))
     return 0
 
 
@@ -562,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     algs.set_defaults(func=_cmd_algorithms)
 
     kerns = sub.add_parser(
-        "kernels", help="list the registered kernel backends"
+        "kernels", help="list the kernel backends"
     )
     kerns.set_defaults(func=_cmd_kernels)
 

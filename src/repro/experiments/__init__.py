@@ -22,7 +22,6 @@ from repro.experiments.instances import (
     cache_info,
     clear_cache,
     evict_points,
-    get_graph,
     get_points,
 )
 from repro.experiments.runner import run_algorithm, sweep_energy, EnergySweep
@@ -47,7 +46,6 @@ __all__ = [
     "sweep_energy_parallel",
     "EnergySweep",
     "get_points",
-    "get_graph",
     "adopt_points",
     "evict_points",
     "cache_info",

@@ -223,22 +223,16 @@ def _provider(points: np.ndarray, radius: float):
 def _table_specs(specs) -> "OrderedDict[tuple, None]":
     """The ``(n, seed, radius)`` CSR builds worth staging for ``specs``.
 
-    Turbo-layout GHS-family runs at the paper's connectivity radius;
-    anything with a dynamic radius schedule (EOPT's step transitions)
-    or a per-message reference kernel rebuilds locally.
+    Turbo GHS-family runs at the paper's connectivity radius; anything
+    with a dynamic radius schedule (EOPT's step transitions) or another
+    kernel rebuilds locally.
     """
     from repro.geometry.radius import connectivity_radius
-    from repro.sim.backends import kernel_layout
     from repro.sim.kernel import table_within_budget
 
     wanted: OrderedDict[tuple, None] = OrderedDict()
     for spec in specs:
-        if spec.algorithm not in ("GHS", "MGHS"):
-            continue
-        try:
-            if kernel_layout(spec.kernel) != "chunked":
-                continue
-        except Exception:
+        if spec.algorithm not in ("GHS", "MGHS") or spec.kernel != "turbo":
             continue
         r = connectivity_radius(spec.n, spec.ghs_radius_const)
         if not table_within_budget(spec.n, r):

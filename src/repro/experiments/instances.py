@@ -13,13 +13,6 @@ skipping redundant builds *within* a sweep, not pinning memory forever).
 Worker processes share the cache automatically because it is module-level
 state: with cell-major task ordering and a chunk per cell, one worker
 sees all algorithms of a cell back to back.
-
-Graph-shaped instances additionally key on the **instance layout**
-(``dense`` vs ``chunked`` CSR — see :data:`repro.rgg.LAYOUTS`): kernel
-backends declare the layout they expect through the kernel registry, and
-a mixed-kernel sweep must never be served a cached instance assembled
-for a different backend's layout.  Point sets are layout-independent, so
-:func:`get_points` stays keyed on ``(n, seed)`` alone.
 """
 
 from __future__ import annotations
@@ -33,11 +26,7 @@ from repro.geometry.points import uniform_points
 #: Maximum number of cached (n, seed) instances per process.
 _CACHE_SIZE = 64
 
-#: Maximum number of cached built graphs (heavier than point sets).
-_GRAPH_CACHE_SIZE = 8
-
 _cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_graph_cache: OrderedDict[tuple[int, int, float, str], object] = OrderedDict()
 _hits = 0
 _misses = 0
 
@@ -112,39 +101,6 @@ def evict_points(n: int, seed: int, *, only: np.ndarray | None = None) -> None:
     del _cache[key]
 
 
-def get_graph(n: int, seed: int, radius: float, *, layout: str = "dense"):
-    """The built RGG for ``(n, seed, radius)`` under ``layout``, cached.
-
-    The cache key includes the layout: a ``chunked`` instance (memmap-
-    backed CSR for the turbo backend at scale) is a different object
-    from the ``dense`` one even though the arrays hold equal values, and
-    serving one where the other was requested would silently change the
-    memory profile the caller asked for.  Use
-    :func:`repro.sim.kernel_layout` to resolve a kernel mode's layout.
-    """
-    global _hits, _misses
-    from repro.rgg import LAYOUTS, build_rgg_layout
-
-    if layout not in LAYOUTS:
-        from repro.errors import GraphError
-
-        raise GraphError(
-            f"unknown instance layout {layout!r}; expected one of {', '.join(LAYOUTS)}"
-        )
-    key = (int(n), int(seed), float(radius), layout)
-    g = _graph_cache.get(key)
-    if g is not None:
-        _hits += 1
-        _graph_cache.move_to_end(key)
-        return g
-    _misses += 1
-    g = build_rgg_layout(get_points(n, seed), float(radius), layout)
-    _graph_cache[key] = g
-    while len(_graph_cache) > _GRAPH_CACHE_SIZE:
-        _graph_cache.popitem(last=False)
-    return g
-
-
 def cache_info() -> dict:
     """Hit/miss/size counters for the per-process instance cache."""
     return {
@@ -152,8 +108,6 @@ def cache_info() -> dict:
         "misses": _misses,
         "size": len(_cache),
         "max_size": _CACHE_SIZE,
-        "graph_size": len(_graph_cache),
-        "graph_max_size": _GRAPH_CACHE_SIZE,
     }
 
 
@@ -161,6 +115,5 @@ def clear_cache() -> None:
     """Drop every cached instance and reset the counters."""
     global _hits, _misses
     _cache.clear()
-    _graph_cache.clear()
     _hits = 0
     _misses = 0

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.geometry.radius import PAPER_EOPT_STEP1_CONST, PAPER_GHS_RADIUS_CONST
 from repro.scenario.plan import ScenarioPlan, scenarioplan_from_dict, scenarioplan_to_dict
+from repro.sim.backends import kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
 
 __all__ = [
@@ -43,63 +44,11 @@ __all__ = [
 #: Schema stamp written into every spec / report / sweep JSON payload.
 SCHEMA_VERSION = 1
 
-
-def _kernel_modes() -> tuple[str, ...]:
-    """Registered kernel modes (lazy: the registry imports kernel modules)."""
-    from repro.sim.backends import kernel_names
-
-    return kernel_names()
-
-
-class _KernelModes(tuple):
-    """A tuple view over the kernel registry, resolved on first use.
-
-    ``KERNEL_MODES`` predates the registry and is imported by the CLI and
-    external callers as a plain tuple (argparse choices, membership
-    tests).  Keeping the name while sourcing it from
-    :mod:`repro.sim.backends` needs one indirection: this subclass defers
-    the registry import until the tuple is actually *used*, so importing
-    :mod:`repro.runspec.spec` stays cheap.
-    """
-
-    _resolved: tuple[str, ...] | None = None
-
-    @classmethod
-    def _get(cls) -> tuple[str, ...]:
-        if cls._resolved is None:
-            cls._resolved = _kernel_modes()
-        return cls._resolved
-
-    def __iter__(self):
-        return iter(self._get())
-
-    def __len__(self):
-        return len(self._get())
-
-    def __getitem__(self, i):
-        return self._get()[i]
-
-    def __contains__(self, item):
-        return item in self._get()
-
-    def __eq__(self, other):
-        return self._get() == other
-
-    def __ne__(self, other):
-        return self._get() != other
-
-    def __hash__(self):
-        return hash(self._get())
-
-    def __repr__(self):
-        return repr(self._get())
-
-
-#: Accepted kernel implementations, in registry order: the optimized hot
+#: Accepted kernel implementations, in canonical order: the optimized hot
 #: path, the frozen pre-optimization reference (benchmarks only) and the
-#: whole-round vectorized turbo backend.  Sourced from the kernel-backend
-#: registry (:mod:`repro.sim.backends`); resolves lazily on first use.
-KERNEL_MODES = _KernelModes()
+#: turbo marker for the GHS family's whole-round phase engine
+#: (:mod:`repro.sim.backends`).
+KERNEL_MODES = kernel_names()
 
 
 def jsonable(obj: Any) -> Any:
@@ -140,17 +89,6 @@ def _json_key(key: Any) -> Any:
     if isinstance(key, np.generic):
         return key.item()
     return key
-
-
-def kernel_class(mode: str):
-    """Resolve a kernel-mode label via the kernel-backend registry.
-
-    Kept as a public re-export (callers predate the registry); unknown
-    labels raise with the registered names listed.
-    """
-    from repro.sim.backends import kernel_class as _kernel_class
-
-    return _kernel_class(mode)
 
 
 def faultplan_to_dict(plan: FaultPlan | None) -> dict | None:

@@ -29,32 +29,19 @@ from repro.sim.faults import FaultPlan, FaultPlane, RetryBuffer
 from repro.sim.kernel import (
     Context,
     SynchronousKernel,
+    TurboKernel,
     make_neighbor_table,
     neighbor_csr_arrays,
     set_table_provider,
     table_within_budget,
 )
 from repro.sim.legacy import LegacyKernel
-from repro.sim.turbo import TurboKernel, seq_energy_accumulate
-from repro.sim.backends import (
-    KernelEntry,
-    get_kernel,
-    kernel_class,
-    kernel_entries,
-    kernel_layout,
-    kernel_names,
-    register_kernel,
-)
+from repro.sim.backends import kernel_class, kernel_names
 
 __all__ = [
-    "KernelEntry",
     "TurboKernel",
-    "get_kernel",
     "kernel_class",
-    "kernel_entries",
-    "kernel_layout",
     "kernel_names",
-    "register_kernel",
     "PathLossModel",
     "Message",
     "EnergyLedger",
@@ -68,7 +55,6 @@ __all__ = [
     "Context",
     "make_neighbor_table",
     "neighbor_csr_arrays",
-    "seq_energy_accumulate",
     "set_table_provider",
     "table_within_budget",
 ]

@@ -1,158 +1,43 @@
-"""The kernel-backend registry: one canonical name -> kernel class.
+"""The kernel backends a :class:`~repro.runspec.RunSpec` can name.
 
-Mirrors :mod:`repro.runspec.registry` (the algorithm registry): each
-kernel module self-registers a :class:`KernelEntry` at import time, and
-lookups lazily import the built-in kernel modules so ``kernel_class("turbo")``
-works without the caller importing :mod:`repro.sim` first.  The registry
-is the single source of truth for:
+A fixed table from mode label to kernel class, in canonical order:
 
-* which kernel modes exist (:func:`kernel_names`, canonical order);
-* how a mode label resolves to a kernel class (:func:`kernel_class`);
-* backend properties other layers key on — ``instance_layout`` tells the
-  sweep instance cache whether two modes can share a cached instance
-  (chunked-CSR vs dense layouts must not), ``reference`` marks the frozen
-  pre-optimization baseline that capability checks single out.
-
-``repro.runspec.spec.KERNEL_MODES`` and ``kernel_class`` are thin views
-over this registry; the hardcoded tuple + if-chain they replaced lives
-only in git history now.
+* ``fast`` — the vectorized per-message hot path with flood planes (the
+  default);
+* ``legacy`` — the frozen pre-optimization reference, kept as the
+  equivalence baseline;
+* ``turbo`` — the fast kernel marked for the GHS family's whole-round
+  phase engine (:mod:`repro.algorithms.ghs.turbo`).
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.errors import ExperimentError
+from repro.sim.kernel import SynchronousKernel, TurboKernel
+from repro.sim.legacy import LegacyKernel
 
-__all__ = [
-    "KernelEntry",
-    "register_kernel",
-    "get_kernel",
-    "kernel_names",
-    "kernel_entries",
-    "kernel_class",
-    "kernel_layout",
-]
+__all__ = ["KERNELS", "kernel_names", "kernel_class"]
 
-
-@dataclass(frozen=True)
-class KernelEntry:
-    """One registered kernel backend.
-
-    Attributes
-    ----------
-    name:
-        Canonical mode label (``"fast"``, ``"legacy"``, ``"turbo"``).
-    cls:
-        The kernel class (a :class:`~repro.sim.kernel.SynchronousKernel`
-        subclass, or the base class itself).
-    order:
-        Sort key for the canonical listing.
-    summary:
-        One-line description for ``repro kernels``.
-    reference:
-        True for the frozen pre-optimization baseline; algorithms whose
-        runners cannot take ``kernel_cls`` reject every non-default mode.
-    instance_layout:
-        Instance-cache layout tag (``"dense"`` or ``"chunked"``).  The
-        sweep instance cache keys on this, so modes with different
-        instance layouts can never be served each other's cached builds.
-    """
-
-    name: str
-    cls: type
-    order: int
-    summary: str = ""
-    reference: bool = False
-    instance_layout: str = "dense"
-
-
-#: Modules whose import registers the built-in kernels.
-_KERNEL_MODULES = (
-    "repro.sim.kernel",
-    "repro.sim.legacy",
-    "repro.sim.turbo",
-)
-
-_REGISTRY: dict[str, KernelEntry] = {}
-_loaded = False
-
-
-def register_kernel(
-    name: str,
-    *,
-    cls: Callable,
-    order: int,
-    summary: str = "",
-    reference: bool = False,
-    instance_layout: str = "dense",
-) -> KernelEntry:
-    """Register one kernel backend; called by kernel modules at import time.
-
-    Re-registering the same ``(name, cls)`` pair is a no-op (module
-    reloads); registering a different class under a taken name raises.
-    """
-    entry = KernelEntry(
-        name=name,
-        cls=cls,
-        order=order,
-        summary=summary,
-        reference=reference,
-        instance_layout=instance_layout,
-    )
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing.cls is not cls:
-        raise ExperimentError(
-            f"kernel mode {name!r} is already registered to "
-            f"{existing.cls.__module__}.{existing.cls.__qualname__}"
-        )
-    _REGISTRY[name] = entry
-    return entry
-
-
-def _ensure_loaded() -> None:
-    """Import the built-in kernel modules once so they self-register."""
-    global _loaded
-    if _loaded:
-        return
-    for module in _KERNEL_MODULES:
-        importlib.import_module(module)
-    _loaded = True
+#: Mode label -> kernel class, in canonical order (default first).
+KERNELS: dict[str, type] = {
+    "fast": SynchronousKernel,
+    "legacy": LegacyKernel,
+    "turbo": TurboKernel,
+}
 
 
 def kernel_names() -> tuple[str, ...]:
-    """All registered mode labels, in canonical order."""
-    _ensure_loaded()
-    return tuple(
-        e.name for e in sorted(_REGISTRY.values(), key=lambda e: (e.order, e.name))
-    )
-
-
-def kernel_entries() -> tuple[KernelEntry, ...]:
-    """All registered entries, in canonical order."""
-    _ensure_loaded()
-    return tuple(sorted(_REGISTRY.values(), key=lambda e: (e.order, e.name)))
-
-
-def get_kernel(name: str) -> KernelEntry:
-    """The entry for ``name``; unknown labels list what *is* registered."""
-    _ensure_loaded()
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ExperimentError(
-            f"unknown kernel mode {name!r}; registered kernels: "
-            + ", ".join(kernel_names())
-        )
-    return entry
+    """All kernel mode labels, in canonical order."""
+    return tuple(KERNELS)
 
 
 def kernel_class(name: str) -> type:
     """Resolve a kernel-mode label to its kernel class."""
-    return get_kernel(name).cls
+    cls = KERNELS.get(name)
+    if cls is None:
+        raise ExperimentError(
+            f"unknown kernel mode {name!r}; registered kernels: "
+            + ", ".join(KERNELS)
+        )
+    return cls
 
-
-def kernel_layout(name: str) -> str:
-    """The instance-cache layout tag for kernel mode ``name``."""
-    return get_kernel(name).instance_layout

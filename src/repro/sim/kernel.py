@@ -217,9 +217,12 @@ class _NeighborTable:
     lazily on a node's first unicast) hold native ints and floats.  The
     mirrors are built lazily: at n=10^6 an RGG table holds ~10^8 entries
     and the eager ``tolist()`` copies alone cost multiple GB, while the
-    only consumer of the full mirrors is the legacy kernel's flat
-    broadcast path (``tolist`` of a float64/intp array yields the same
-    native values either way, so laziness is unobservable).
+    only reader of the full mirrors is the ``_flat_pending`` branch of
+    :meth:`SynchronousKernel._send_broadcast`, which the contention
+    kernel reaches (the legacy kernel overrides both send paths with
+    KD-tree queries and never reads them).  ``tolist`` of a float64/intp
+    array yields the same native values either way, so laziness is
+    unobservable.
     """
 
     __slots__ = (
@@ -253,7 +256,7 @@ class _NeighborTable:
 
     @property
     def ids_list(self) -> list[int]:
-        """Native-int mirror of ``ids`` (lazy; legacy flat path only)."""
+        """Native-int mirror of ``ids`` (lazy; flat broadcast path only)."""
         m = self._ids_list
         if m is None:
             m = self._ids_list = self.ids.tolist()
@@ -261,7 +264,7 @@ class _NeighborTable:
 
     @property
     def dists_list(self) -> list[float]:
-        """Native-float mirror of ``dists`` (lazy; legacy flat path only)."""
+        """Native-float mirror of ``dists`` (lazy; flat broadcast path only)."""
         m = self._dists_list
         if m is None:
             m = self._dists_list = self.dists.tolist()
@@ -1153,13 +1156,18 @@ class SynchronousKernel:
         return self._ledger.snapshot(self.rounds)
 
 
-# Self-registration in the kernel-backend registry (repro.sim.backends):
-# "fast" is the default mode every spec resolves to.
-from repro.sim.backends import register_kernel as _register_kernel  # noqa: E402
+class TurboKernel(SynchronousKernel):
+    """The fast kernel, marked for the GHS family's whole-round phase engine.
 
-_register_kernel(
-    "fast",
-    cls=SynchronousKernel,
-    order=0,
-    summary="vectorized per-message hot path with flood planes (default)",
-)
+    The kernel itself adds nothing: the turbo path lives in the driver.
+    When :func:`repro.algorithms.ghs.turbo.turbo_phase_engine` sees the
+    ``turbo_rounds`` flag on an eligible run, the phase loop runs as
+    :class:`~repro.algorithms.ghs.turbo.TurboPhaseEngine` array programs;
+    every other run takes the inherited fast-kernel paths unchanged, so
+    ``kernel="turbo"`` is always observationally identical to
+    ``kernel="fast"``.
+    """
+
+    #: Capability flag the GHS phase driver tests before swapping its
+    #: per-message loop for the whole-round engine.
+    turbo_rounds = True

@@ -65,14 +65,3 @@ class LegacyKernel(SynchronousKernel):
             return 0
         return self._step_flat()
 
-
-# Self-registration in the kernel-backend registry (repro.sim.backends).
-from repro.sim.backends import register_kernel as _register_kernel  # noqa: E402
-
-_register_kernel(
-    "legacy",
-    cls=LegacyKernel,
-    order=1,
-    summary="frozen pre-optimization reference (equivalence baseline)",
-    reference=True,
-)

@@ -44,6 +44,11 @@ class TestCommands:
         assert main(["run", "MGHS", "-n", "120"]) == 0
         assert "perf report:" not in capsys.readouterr().out
 
+    def test_kernels_lists_every_backend(self, capsys):
+        assert main(["kernels"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert names == ["fast", "legacy", "turbo"]
+
     def test_fig3a(self, capsys):
         assert main(["fig3a", "--max-n", "100"]) == 0
         out = capsys.readouterr().out

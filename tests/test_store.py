@@ -33,6 +33,29 @@ class TestSpecHash:
         assert bare.result_key() == instrumented.result_key()
         assert bare.result_key() != bare.spec_hash()
 
+    def test_pinned_hashes_keep_stored_results_addressable(self):
+        # Literal values: a change here orphans every stored result.
+        pinned = [
+            (
+                RunSpec("MGHS", n=200, seed=11, kernel="turbo"),
+                "df7a4979698bbcc24c90fbff02699b44af6f21622ca77c277de0b61b0dd833f8",
+                "d0e23cc545bd0fc5215990898bcbbc93ff0db854a9efc9152320285f5004979a",
+            ),
+            (
+                RunSpec("EOPT", n=200, seed=5, planes=False),
+                "6a3125c8176329e750b43d37daf643a48cadd3bde83677a2228f5d52121d21a8",
+                "a341890b863ca4f0aaaf7a349b18412b2bd8a622decd10d744014fb2e955c5b4",
+            ),
+            (
+                RunSpec("GHS", n=200, seed=3, kernel="legacy"),
+                "4c062c75e0883c28783e2f2ff7a51e9c19ef8bd8e2333b045d4f53cc5907fc5f",
+                "cad35788f3423bcbd039aec9c7e52f015b49c6118647d6ebae467f15acf35f2e",
+            ),
+        ]
+        for spec, spec_hash, result_key in pinned:
+            assert spec.spec_hash() == spec_hash
+            assert spec.result_key() == result_key
+
     def test_result_key_still_sees_semantic_fields(self):
         base = RunSpec(algorithm="GHS", n=100)
         assert base.result_key() != base.with_(rx_cost=0.5).result_key()

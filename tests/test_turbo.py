@@ -1,16 +1,12 @@
-"""Turbo backend unit tests: batch semantics, chunked CSR, registry.
+"""Turbo backend unit tests: phase-engine engagement, kernel table.
 
 The end-to-end observational contract lives in
-``tests/test_hotpath_equivalence.py`` (parametrized over every registered
+``tests/test_hotpath_equivalence.py`` (parametrized over every kernel
 backend).  This module pins the turbo-specific mechanisms in isolation:
 
-* vectorized fault masking — ``unicast_batch`` under a seeded
-  :class:`FaultPlan` must reproduce the fast kernel's per-message fates,
-  delivery order (duplicates adjacent), tallies and charges exactly;
-* chunked / memory-mapped CSR builds round-trip bit-identically to the
-  dense builder, and the instance cache keys on the layout;
 * the whole-round phase engine engages on eligible runs (and only then);
-* the kernel registry resolves modes, layouts and unknown-name errors.
+* the kernel table resolves modes and unknown-name errors;
+* the engine's sequential energy sum matches the scalar ``+=`` loop.
 """
 
 from __future__ import annotations
@@ -18,169 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError, GraphError
-from repro.geometry.points import uniform_points
+from repro.errors import ExperimentError
 from repro.perf import PEAK_RSS_COUNTER, perf
-from repro.rgg import build_rgg, build_rgg_chunked, build_rgg_layout
-from repro.sim import (
-    NodeProcess,
-    SynchronousKernel,
-    TurboKernel,
-    kernel_class,
-    kernel_layout,
-    kernel_names,
-)
+from repro.sim import TurboKernel, kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
-
-
-# -- vectorized fault masking -------------------------------------------------
-
-
-class _Echo(NodeProcess):
-    """Scripted node: sends its wake payload, logs every delivery."""
-
-    def __init__(self, node_id, ctx, log):
-        super().__init__(node_id, ctx)
-        self.log = log
-
-    def on_wake(self, signal, payload=()):
-        for dst, tag in payload[0]:
-            self.ctx.unicast(dst, "DATA", tag)
-
-    def on_message(self, msg, distance):
-        self.log.append((self.id, msg.src, msg.payload, distance))
-
-
-def _message_set(n, count, seed):
-    """A deterministic batch of (src, dst, tag) rows, grouped by sender."""
-    rng = np.random.default_rng(seed)
-    srcs = rng.integers(0, n, size=count)
-    dsts = rng.integers(0, n, size=count)
-    keep = srcs != dsts
-    srcs, dsts = srcs[keep], dsts[keep]
-    order = np.argsort(srcs, kind="stable")  # group by sender, stable
-    srcs, dsts = srcs[order], dsts[order]
-    tags = np.arange(len(srcs), dtype=np.int64)
-    return srcs, dsts, tags
-
-
-class TestBatchFaultMasking:
-    N = 40
-    PLAN = FaultPlan(seed=11, drop_rate=0.2, dup_rate=0.15)
-
-    def _fast_side(self, srcs, dsts, tags):
-        pts = uniform_points(self.N, seed=2)
-        log: list[tuple] = []
-        kernel = SynchronousKernel(
-            pts, max_radius=float(np.sqrt(2.0)), faults=self.PLAN
-        )
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, log))
-        kernel.start()
-        for u in np.unique(srcs):
-            rows = [(int(d), int(t)) for d, t in zip(dsts[srcs == u], tags[srcs == u])]
-            kernel.wake([int(u)], "send", (rows,))
-        kernel.run_until_quiescent()
-        return log, kernel.ledger
-
-    def _turbo_side(self, srcs, dsts, tags):
-        pts = uniform_points(self.N, seed=2)
-        log: list[tuple] = []
-        kernel = TurboKernel(pts, max_radius=float(np.sqrt(2.0)), faults=self.PLAN)
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, log))
-        kernel.start()
-
-        def handler(kind, s, d, dist, pl):
-            for i in range(len(s)):
-                log.append((int(d[i]), int(s[i]), (int(pl[i]),), float(dist[i])))
-
-        kernel.set_batch_handler("DATA", handler)
-        kernel.unicast_batch(srcs, dsts, "DATA", payloads=tags)
-        kernel.run_until_quiescent()
-        return log, kernel.ledger
-
-    def test_fates_order_and_charges_match_per_message(self):
-        srcs, dsts, tags = _message_set(self.N, 120, seed=3)
-        flog, fled = self._fast_side(srcs, dsts, tags)
-        tlog, tled = self._turbo_side(srcs, dsts, tags)
-        # Same survivors, same (recipient, seq) order, duplicates adjacent.
-        assert tlog == flog
-        # And strictly fewer deliveries than sends (drops really fired) plus
-        # at least one duplicate — otherwise the masks were never exercised.
-        assert dict(fled.drops_by_kind) and dict(fled.dup_deliveries_by_kind)
-        assert tled.energy_total == fled.energy_total
-        assert tled.messages_total == fled.messages_total
-        assert dict(tled.drops_by_kind) == dict(fled.drops_by_kind)
-        assert dict(tled.dup_deliveries_by_kind) == dict(fled.dup_deliveries_by_kind)
-        assert dict(tled.crash_drops_by_kind) == dict(fled.crash_drops_by_kind)
-
-    def test_batch_requires_registered_handler(self):
-        pts = uniform_points(10, seed=0)
-        kernel = TurboKernel(pts, max_radius=1.0)
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, []))
-        kernel.start()
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="no batch handler"):
-            kernel.unicast_batch([0], [1], "NOPE")
-
-
-# -- chunked CSR round trips --------------------------------------------------
-
-
-class TestChunkedCSR:
-    @pytest.mark.parametrize("n,seed,r", [(500, 0, 0.08), (977, 7, 0.3)])
-    def test_chunked_matches_dense(self, n, seed, r):
-        pts = uniform_points(n, seed=seed)
-        dense = build_rgg(pts, r)
-        # Odd chunk size forces several partial blocks.
-        chunked = build_rgg_chunked(pts, r, chunk_nodes=173)
-        assert np.array_equal(dense.edges, chunked.edges)
-        assert np.array_equal(dense.lengths, chunked.lengths)
-        assert np.array_equal(dense.indptr, chunked.indptr)
-        assert np.array_equal(dense.indices, chunked.indices)
-
-    def test_memmap_spill_round_trip(self, tmp_path):
-        pts = uniform_points(600, seed=4)
-        dense = build_rgg(pts, 0.1)
-        spilled = build_rgg_chunked(
-            pts, 0.1, chunk_nodes=100, memmap_threshold_bytes=64,
-            workdir=str(tmp_path),
-        )
-        assert isinstance(spilled.indices, np.memmap)
-        assert isinstance(spilled.edges.base, np.memmap)
-        assert np.array_equal(dense.indices, spilled.indices)
-        assert np.array_equal(dense.edges, spilled.edges)
-        assert np.array_equal(dense.lengths, spilled.lengths)
-        # Scratch files are unlinked immediately: nothing left behind.
-        assert list(tmp_path.iterdir()) == []
-
-    def test_empty_and_validation(self):
-        g = build_rgg_chunked(np.zeros((0, 2)), 0.1)
-        assert g.n == 0 and g.m == 0
-        with pytest.raises(GraphError):
-            build_rgg_layout(np.zeros((0, 2)), 0.1, "warp9")
-        from repro.errors import GeometryError
-
-        with pytest.raises(GeometryError):
-            build_rgg_chunked(np.zeros((4, 2)), 0.1, chunk_nodes=0)
-
-
-class TestLayoutKeyedInstanceCache:
-    def test_layouts_cached_separately(self):
-        from repro.experiments.instances import clear_cache, get_graph
-
-        clear_cache()
-        try:
-            dense = get_graph(200, 0, 0.12)
-            chunked = get_graph(200, 0, 0.12, layout="chunked")
-            assert dense is not chunked  # layout is part of the key
-            assert get_graph(200, 0, 0.12) is dense  # hits its own entry
-            assert get_graph(200, 0, 0.12, layout="chunked") is chunked
-            assert np.array_equal(dense.indices, chunked.indices)
-            with pytest.raises(GraphError, match="unknown instance layout"):
-                get_graph(200, 0, 0.12, layout="warp9")
-        finally:
-            clear_cache()
 
 
 # -- phase engine engagement --------------------------------------------------
@@ -214,7 +51,7 @@ class TestPhaseEngine:
         assert counters.get("kernel.turbo_engine_rounds", 0) == 0
 
 
-# -- registry ----------------------------------------------------------------
+# -- kernel table -------------------------------------------------------------
 
 
 class TestKernelRegistry:
@@ -225,9 +62,6 @@ class TestKernelRegistry:
 
     def test_resolution_and_layouts(self):
         assert kernel_class("turbo") is TurboKernel
-        assert kernel_layout("turbo") == "chunked"
-        assert kernel_layout("fast") == "dense"
-        assert kernel_layout("legacy") == "dense"
 
     def test_unknown_mode_lists_backends(self):
         with pytest.raises(ExperimentError, match="fast") as ei:
@@ -236,13 +70,13 @@ class TestKernelRegistry:
             assert name in str(ei.value)
 
 
-# -- jitted sequential energy accumulation ------------------------------------
+# -- sequential energy accumulation -------------------------------------------
 
 
 class TestSeqEnergyAccumulate:
-    """The turbo engines fold per-message energies into the ledger through
+    """The turbo engine folds per-message energies into the ledger through
     :func:`seq_energy_accumulate`; it must be bit-identical to the scalar
-    ``total += e`` loop whether or not numba is present."""
+    ``total += e`` loop."""
 
     def _reference(self, total, energies):
         total = float(total)
@@ -251,7 +85,7 @@ class TestSeqEnergyAccumulate:
         return total
 
     def test_matches_scalar_loop_bitwise(self):
-        from repro.sim import seq_energy_accumulate
+        from repro.algorithms.ghs.turbo import seq_energy_accumulate
 
         rng = np.random.default_rng(7)
         for size in (0, 1, 3, 100, 4097):
@@ -259,27 +93,3 @@ class TestSeqEnergyAccumulate:
             total = float(rng.uniform(0.0, 10.0))
             got = seq_energy_accumulate(total, energies)
             assert got == self._reference(total, energies)  # exact, not approx
-
-    def test_no_numba_env_pins_report_bytes(self):
-        """A subprocess with REPRO_NO_NUMBA=1 must emit the same report
-        JSON as this process — the fallback path may not drift."""
-        import os
-        import subprocess
-        import sys
-
-        from repro.runspec import RunSpec, execute
-
-        spec = RunSpec(algorithm="MGHS", n=250, seed=3, kernel="turbo")
-        local = execute(spec).to_json(indent=None)
-        code = (
-            "import sys, json\n"
-            "from repro.runspec import RunSpec, execute\n"
-            "spec = RunSpec.from_dict(json.loads(sys.argv[1]))\n"
-            "sys.stdout.write(execute(spec).to_json(indent=None))\n"
-        )
-        env = dict(os.environ, REPRO_NO_NUMBA="1", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c", code, spec.to_json()],
-            capture_output=True, text=True, env=env, cwd=os.getcwd(), check=True,
-        )
-        assert out.stdout == local
