@@ -528,7 +528,8 @@ def hello_round(
 
     When ``planes`` is true and the kernel supports it (non-flat kernel,
     neighbor table built), the whole round runs as one flood plane: a
-    fresh :class:`FloodCache` is attached to every node, one
+    fresh :class:`FloodCache`, seeded with the previous one's entries,
+    is attached to every node, one
     ``broadcast_plane`` call registers all n HELLOs (charged in node-id
     order, exactly like the per-node wake), and delivery is a single
     vectorized cache update.  Otherwise — legacy/contention kernels,
@@ -559,6 +560,8 @@ def hello_steps(
     if planes and nodes and all(isinstance(nd, GHSNode) for nd in nodes):
         cache = FloodCache.ensure(kernel)
     if cache is not None:
+        if nodes[0].cache is not None:
+            cache.inherit(nodes[0].cache)
         kernel.set_plane_handler(cache.on_plane)
         for nd in nodes:
             nd.attach_cache(cache)

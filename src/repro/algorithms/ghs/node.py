@@ -174,7 +174,8 @@ class GHSNode(NodeProcess):
         neighbour knowledge lives in the table-aligned numpy views and is
         refreshed by the next HELLO flood.  Rebinding at every hello
         round is equivalent to keeping the dicts because the power cap
-        never *lowers* and a full hello refreshes every in-range entry.
+        never *lowers* and each new cache inherits the last one's
+        entries (:meth:`~repro.algorithms.ghs.plane.FloodCache.inherit`).
         """
         self.cache = cache
         if cache is None:

@@ -77,6 +77,30 @@ class FloodCache:
             return None
         return cls(tbl)
 
+    def inherit(self, old: "FloodCache") -> None:
+        """Start from ``old``'s heard-from entries, slot by matching slot.
+
+        The dict caches keep every entry across hello rounds (a HELLO
+        only overwrites), so a cache rebuilt for a raised power cap must
+        keep what its nodes already knew.  Otherwise a HELLO lost in the
+        later round reads as never heard, and fault recovery re-floods
+        senders the dict path leaves alone (faulted EOPT step 2).
+        """
+        n = len(self.indptr) - 1
+        heard = np.flatnonzero(old.known)
+        if len(heard) == 0:
+            return
+        old_recv = np.repeat(np.arange(n, dtype=np.int64), np.diff(old.indptr))
+        want = old_recv[heard] * n + old.ids[heard]
+        recv = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        keys = recv * n + self.ids
+        order = np.argsort(keys)
+        pos = np.minimum(np.searchsorted(keys, want, sorter=order), len(keys) - 1)
+        slots = order[pos]
+        hit = keys[slots] == want
+        self.fid[slots[hit]] = old.fid[heard[hit]]
+        self.known[slots[hit]] = True
+
     def attach(self, node) -> None:
         """Bind ``node``'s cache views to its CSR row (zero-copy slices)."""
         s = int(self.indptr[node.id])

@@ -19,8 +19,11 @@ suite and ``trace/diff.py`` triage) is:
   running total (sequential, not pairwise, summation);
 * ``rounds``, ``messages_total``, per-kind/per-stage message counts and
   per-round trace events (``round``/``dm``/``de``/``kinds``) are exact;
-* per-kind/per-stage energy breakdowns reassociate float sums (the
-  ledger contract already allows that); ``energy_by_node`` likewise;
+* the per-kind, per-stage and per-node energy breakdowns move through
+  the same sequential chains, each seeded with the ledger's current
+  value and fed that key's energies in charge order, so they too are
+  bit-identical to :meth:`~repro.sim.energy.EnergyLedger.charge` per
+  message;
 * node objects are synced back on exit, so census/giant-declaration
   stages and result collection see the same state the per-message loop
   would have left.
@@ -373,10 +376,10 @@ class TurboPhaseEngine:
         """Charge this block's emissions in trigger order; queue deliveries.
 
         Returns the number of messages charged.  Mirrors what the
-        per-message handlers would have done: ``energy_total`` advances
-        through the exact per-message partial sums, per-kind/per-stage
-        counters take the same integer counts, and each send lands in
-        next round's pending set keyed ``(recipient, seq)``.
+        per-message handlers would have done: ``energy_total`` and every
+        energy breakdown advance through the exact per-message partial
+        sums, the counters take the same integer counts, and each send
+        lands in next round's pending set keyed ``(recipient, seq)``.
         """
         if not em.chunks and len(em.node) <= 64:
             return self._finalize_scalar(em)
@@ -392,15 +395,20 @@ class TurboPhaseEngine:
         energies = self.pw.energy_array(dist)
         led.energy_total = seq_energy_accumulate(led.energy_total, energies)
         led.messages_total += k
-        np.add.at(led.energy_by_node, node, energies)
+        by_node = led.energy_by_node
+        for u, e in zip(node.tolist(), energies.tolist()):
+            by_node[u] += e
         counts = np.bincount(kind, minlength=6)
-        esums = np.bincount(kind, weights=energies, minlength=6)
         stage = self.k.stage
-        led.energy_by_stage[stage] += float(energies.sum())
+        led.energy_by_stage[stage] = seq_energy_accumulate(
+            led.energy_by_stage[stage], energies
+        )
         led.messages_by_stage[stage] += k
         for code in np.flatnonzero(counts).tolist():
             name = _KIND_NAMES[code]
-            led.energy_by_kind[name] += float(esums[code])
+            led.energy_by_kind[name] = seq_energy_accumulate(
+                led.energy_by_kind[name], energies[kind == code]
+            )
             led.messages_by_kind[name] += int(counts[code])
         seqs = np.arange(self._seq, self._seq + k, dtype=np.int64)
         self._seq += k
@@ -451,8 +459,9 @@ class TurboPhaseEngine:
         by_node = led.energy_by_node
         e_kind = led.energy_by_kind
         m_kind = led.messages_by_kind
+        stage = self.k.stage
+        e_stage = led.energy_by_stage
         total = led.energy_total
-        stage_e = 0.0
         base = self._seq
         self._seq += k
         rep_rows: list[tuple] = []
@@ -464,7 +473,7 @@ class TurboPhaseEngine:
             u = em.node[i]
             e = energy(em.dist[i])
             total += e
-            stage_e += e
+            e_stage[stage] += e
             by_node[u] += e
             name = _KIND_NAMES[kd]
             e_kind[name] += e
@@ -478,8 +487,6 @@ class TurboPhaseEngine:
                 misc_rows.append((em.dst[i], base + j, u, kd, em.p2[i]))
         led.energy_total = total
         led.messages_total += k
-        stage = self.k.stage
-        led.energy_by_stage[stage] += stage_e
         led.messages_by_stage[stage] += k
         if ann_w:
             self.pend_ann = (ann_w, ann_f)
@@ -887,7 +894,6 @@ class TurboPhaseEngine:
 
     def run(self, start_phase: int, max_phases: int) -> int:
         """The ``run_ghs_phases`` loop as array programs; returns phases run."""
-        self.k._flush_charges()
         phase = start_phase - 1
         executed = 0
         try:

@@ -290,7 +290,9 @@ def _cmd_fuzz(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the HTTP run service (docs/architecture.md, serve layer)."""
     import asyncio
+    import signal
 
+    from repro.runspec import shutdown
     from repro.serve import serve
 
     store = None
@@ -307,20 +309,27 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
-    try:
-        asyncio.run(
-            serve(
-                args.host,
-                args.port,
-                store=store,
-                backend=args.backend,
-                workers=args.workers,
-                ready=ready,
-            )
+    async def run() -> None:
+        # SIGTERM stops the server the way Ctrl-C does, so the cleanup
+        # below runs; left at its default it kills this process at once
+        # and orphans the pool workers.
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        await serve(
+            args.host,
+            args.port,
+            store=store,
+            backend=args.backend,
+            workers=args.workers,
+            ready=ready,
         )
-    except KeyboardInterrupt:
-        print("shutting down")
+
+    try:
+        asyncio.run(run())
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        print("shutting down", flush=True)
     finally:
+        shutdown()
         if store is not None:
             store.close()
     return 0

@@ -30,7 +30,7 @@ import json
 from repro.errors import ExperimentError
 from repro.runspec import engine as engine_mod
 from repro.runspec.spec import RunSpec
-from repro.serve.broker import Broker, InMemoryBroker
+from repro.serve.broker import InMemoryBroker
 from repro.serve.jobs import CANCELLED
 from repro.serve.http import (
     HttpError,
@@ -43,9 +43,9 @@ __all__ = ["ServeApp", "create_app", "serve"]
 
 
 class ServeApp:
-    """Route dispatch over one :class:`~repro.serve.broker.Broker`."""
+    """Route dispatch over one :class:`~repro.serve.broker.InMemoryBroker`."""
 
-    def __init__(self, broker: Broker, *, store=None) -> None:
+    def __init__(self, broker: InMemoryBroker, *, store=None) -> None:
         self.broker = broker
         self.store = store
 

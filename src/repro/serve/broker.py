@@ -1,20 +1,15 @@
 """The job broker: dedupe, store consult, fan-out onto the engine.
 
-:class:`InMemoryBroker` is the whole queue story today, kept behind the
-small :class:`Broker` interface named in ROADMAP item 1 so a redis/NATS
-backend can drop in later without touching the HTTP layer: the router
-only ever calls ``submit`` / ``get`` / ``cancel`` / ``stats``.
+:class:`InMemoryBroker` is the whole queue story: the router only ever
+calls ``submit`` / ``get`` / ``cancel`` / ``stats``.
 
-Three layers of "never compute twice" stack up, cheapest first:
+Two layers of "never compute twice" stack up, cheapest first:
 
 1. **broker dedupe** — an in-flight or finished job with the same
    ``spec_hash`` is returned as-is (no second enqueue);
 2. **store consult** — a :class:`~repro.store.ResultStore` hit resolves
    the job synchronously at submit time, before it ever touches the
-   queue;
-3. **engine singleflight** — identical specs racing past 1 and 2 (e.g.
-   a FAILED job resubmitted while its retry is mid-compute) collapse
-   inside :func:`~repro.runspec.engine.execute_batch`.
+   queue.
 
 The dedupe-and-probe section of :meth:`InMemoryBroker.submit` runs with
 **no awaits** — on a single-threaded event loop that makes
@@ -22,59 +17,38 @@ check-and-insert atomic, which is the whole concurrency argument for
 "concurrent submissions of one spec singleflight to one execution".
 The store probe is a blocking sqlite read on the loop thread; it is a
 point lookup (milliseconds) and keeping it inside the atomic section is
-exactly what prevents the probe/enqueue race.
+exactly what prevents the probe/enqueue race.  It is the only probe a
+request makes: a queued job already missed, so the consumer computes
+without asking the store again and writes the report back itself.
 
 Compute runs in a worker thread (``loop.run_in_executor``) so the loop
 stays responsive; the thread fans onto the shared process pool via
-``execute_batch(store=...)``.  One consumer task drains the queue —
-parallelism lives *inside* the engine (the process pool), and a single
-consumer also serializes the perf/trace registry surgery
+``execute_batch``.  One consumer task drains the queue — parallelism
+lives *inside* the engine (the process pool), and a single consumer
+also serializes the perf/trace registry surgery
 :func:`~repro.runspec.engine.execute` performs around each run.
 """
 
 from __future__ import annotations
 
 import asyncio
-from functools import partial
 
 from repro.runspec import execute_batch
+from repro.runspec.report import RunReport
 from repro.runspec.spec import RunSpec
 from repro.serve.jobs import CANCELLED, FAILED, QUEUED, Job
 
-__all__ = ["Broker", "InMemoryBroker"]
+__all__ = ["InMemoryBroker"]
 
 
-class Broker:
-    """Queue-backend interface the HTTP layer programs against."""
-
-    async def start(self) -> None:
-        raise NotImplementedError
-
-    async def close(self) -> None:
-        raise NotImplementedError
-
-    def submit(self, spec: RunSpec) -> tuple[Job, bool]:
-        """Route one spec; returns ``(job, created)``."""
-        raise NotImplementedError
-
-    def get(self, job_id: str) -> Job | None:
-        raise NotImplementedError
-
-    def cancel(self, job_id: str) -> bool:
-        raise NotImplementedError
-
-    def stats(self) -> dict:
-        raise NotImplementedError
-
-
-class InMemoryBroker(Broker):
+class InMemoryBroker:
     """Asyncio in-process broker over the shared engine and store.
 
     Parameters
     ----------
     store:
         Optional :class:`~repro.store.ResultStore`; consulted before
-        enqueue and passed to the engine for write-back.  An unopenable
+        enqueue, and every computed report is written back.  An unopenable
         store arrives here already degraded to inert — every probe
         misses and the broker just computes (the degradation matrix in
         docs/architecture.md).
@@ -174,6 +148,18 @@ class InMemoryBroker(Broker):
 
     # -- the consumer ------------------------------------------------------
 
+    def _compute(self, spec: RunSpec) -> RunReport:
+        """Run one spec that missed the store and write its report back."""
+        (report,) = execute_batch(
+            [spec],
+            backend=self.backend,
+            workers=self.workers,
+            chunk_align=self.chunk_align,
+        )
+        if self.store is not None:
+            self.store.put_report(report)
+        return report
+
     async def _consume(self) -> None:
         loop = asyncio.get_event_loop()
         while True:
@@ -182,17 +168,7 @@ class InMemoryBroker(Broker):
                 continue
             job.mark_running()
             try:
-                reports = await loop.run_in_executor(
-                    None,
-                    partial(
-                        execute_batch,
-                        [job.spec],
-                        backend=self.backend,
-                        workers=self.workers,
-                        chunk_align=self.chunk_align,
-                        store=self.store,
-                    ),
-                )
+                report = await loop.run_in_executor(None, self._compute, job.spec)
             except asyncio.CancelledError:
                 # Broker shutdown mid-compute: leave the job RUNNING —
                 # the report may still land in the store for next boot.
@@ -201,7 +177,6 @@ class InMemoryBroker(Broker):
                 self._counters["failed"] += 1
                 job.fail(f"{type(exc).__name__}: {exc}")
                 continue
-            report = reports[0]
             job.attach_report_events(
                 {"trace": report.trace, "perf": report.perf}
             )

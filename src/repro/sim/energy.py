@@ -22,7 +22,9 @@ class EnergyLedger:
         self.n_nodes = n_nodes
         self.energy_total: float = 0.0
         self.messages_total: int = 0
-        self.energy_by_node = np.zeros(n_nodes)
+        # A list, not an array: a numpy element ``+=`` costs about twice
+        # a list one, and :meth:`charge` runs once per transmission.
+        self.energy_by_node: list[float] = [0.0] * n_nodes
         self.energy_by_kind: dict[str, float] = defaultdict(float)
         self.messages_by_kind: dict[str, int] = defaultdict(int)
         self.energy_by_stage: dict[str, float] = defaultdict(float)
@@ -40,7 +42,13 @@ class EnergyLedger:
         self.crash_drops_by_kind: dict[str, int] = defaultdict(int)
 
     def charge(self, node: int, kind: str, stage: str, energy: float) -> None:
-        """Record one transmitted message by ``node`` costing ``energy``."""
+        """Record one transmitted message by ``node`` costing ``energy``.
+
+        Every kernel path charges through here, one message at a time in
+        send order, so each breakdown is the same left-to-right float sum
+        on every backend (the turbo engine replays that order with
+        :func:`~repro.algorithms.ghs.turbo.seq_energy_accumulate`).
+        """
         self.energy_total += energy
         self.messages_total += 1
         self.energy_by_node[node] += energy
@@ -65,7 +73,7 @@ class EnergyLedger:
             messages_by_kind=dict(self.messages_by_kind),
             energy_by_stage=dict(self.energy_by_stage),
             messages_by_stage=dict(self.messages_by_stage),
-            energy_by_node=self.energy_by_node.copy(),
+            energy_by_node=np.array(self.energy_by_node),
             rx_energy_total=self.rx_energy_total,
             receptions_total=self.receptions_total,
             rx_energy_by_node=self.rx_energy_by_node.copy(),

@@ -37,11 +37,6 @@ Hot-path layout (see docs/performance.md for the full story):
   Subclasses that need the flat, send-ordered delivery list (the
   contention kernel, the legacy reference kernel) set
   ``_flat_pending = True``.
-* **Batched charges** — the headline ``energy_total``/``messages_total``
-  stay exact running sums, but the per-kind / per-stage / per-node
-  breakdowns accumulate in plain dict/list accumulators flushed into the
-  :class:`~repro.sim.energy.EnergyLedger` when ``stats()`` (or the
-  ``ledger`` property) is read.
 * **Flood planes** — some protocol stages are pure cache refreshes with
   no control flow: every sender broadcasts one integer (the GHS family's
   HELLO and ANNOUNCE floods), every receiver only overwrites a cache
@@ -428,10 +423,6 @@ class SynchronousKernel:
         self._plane_batches: list[tuple] = []
         self._plane_tbl: _NeighborTable | None = None
         self._n_plane_pending = 0
-        #: Batched ledger accumulators: (kind, stage) -> [energy, count],
-        #: plus per-node energy partial sums; flushed by _flush_charges.
-        self._acc_kinds: dict[tuple[str, str], list] = {}
-        self._acc_node: list[float] = [0.0] * self.n
         #: Ledger snapshot at the last traced round boundary (None until
         #: the first traced round); read only when ``trace.enabled``.
         self._trace_prev: dict | None = None
@@ -606,9 +597,10 @@ class SynchronousKernel:
         self._check_power(int(senders[0]), radius)
         self._plane_bind(tbl)
         cost = self.power.energy(radius)
-        charge = self._charge_tx
+        charge = self._ledger.charge
+        stage = self.stage
         for s in senders.tolist():
-            charge(s, kind, cost)
+            charge(s, kind, stage, cost)
         starts = tbl.indptr_arr[senders]
         ends = tbl.indptr_arr[senders + 1]
         if radius < tbl.max_radius:
@@ -649,7 +641,7 @@ class SynchronousKernel:
         elif radius > tbl.max_radius:
             return False
         self._check_power(src, radius)
-        self._charge_tx(src, kind, self.power.energy(radius))
+        self._ledger.charge(src, kind, self.stage, self.power.energy(radius))
         s, e = tbl.indptr[src], tbl.indptr[src + 1]
         if radius < tbl.max_radius:
             e = s + int(np.searchsorted(tbl.dists[s:e], radius, side="right"))
@@ -722,42 +714,6 @@ class SynchronousKernel:
 
     # -- energy accounting -----------------------------------------------------
 
-    @property
-    def ledger(self) -> EnergyLedger:
-        """The energy ledger, with any batched charges flushed."""
-        self._flush_charges()
-        return self._ledger
-
-    def _charge_tx(self, node: int, kind: str, energy: float) -> None:
-        """Record one transmission: exact totals now, breakdowns batched."""
-        led = self._ledger
-        led.energy_total += energy
-        led.messages_total += 1
-        self._acc_node[node] += energy
-        acc = self._acc_kinds
-        key = (kind, self.stage)
-        cell = acc.get(key)
-        if cell is None:
-            acc[key] = [energy, 1]
-        else:
-            cell[0] += energy
-            cell[1] += 1
-
-    def _flush_charges(self) -> None:
-        """Fold the batched accumulators into the ledger's breakdowns."""
-        acc = self._acc_kinds
-        if not acc:
-            return
-        led = self._ledger
-        for (kind, stage), (e, c) in acc.items():
-            led.energy_by_kind[kind] += e
-            led.messages_by_kind[kind] += c
-            led.energy_by_stage[stage] += e
-            led.messages_by_stage[stage] += c
-        acc.clear()
-        led.energy_by_node += self._acc_node
-        self._acc_node = [0.0] * self.n
-
     def _trace_round(self) -> None:
         """Emit one per-round trace event (deltas since the last round).
 
@@ -766,11 +722,10 @@ class SynchronousKernel:
         exact integers, ``de`` is a difference of the *exact* running
         ``energy_total`` (bit-identical legacy/fast/planes), and fault
         tallies come from path-independent fate hashes.  Per-kind energy
-        *breakdowns* are deliberately absent — they are batched float
-        sums that may differ in the last ulp between kernels and would
-        make equivalent runs diff as divergent.
+        breakdowns are left out to keep round events small; the final
+        stats carry them.  Nothing here writes to the ledger, so tracing
+        leaves a run's report unchanged.
         """
-        self._flush_charges()
         led = self._ledger
         prev = self._trace_prev
         if prev is None:
@@ -826,7 +781,7 @@ class SynchronousKernel:
             d = self.points[src] - self.points[dst]
             dist = math.sqrt(d[0] * d[0] + d[1] * d[1])
         self._check_power(src, dist)
-        self._charge_tx(src, kind, self.power.energy(dist))
+        self._ledger.charge(src, kind, self.stage, self.power.energy(dist))
         msg = Message(kind, src, dst, payload, dist)
         if self._flat_pending:
             self._pending.append((dst, msg, dist))
@@ -840,7 +795,7 @@ class SynchronousKernel:
             raise GeometryError(f"broadcast radius must be non-negative, got {radius}")
         radius = float(radius)
         self._check_power(src, radius)
-        self._charge_tx(src, kind, self.power.energy(radius))
+        self._ledger.charge(src, kind, self.stage, self.power.energy(radius))
         if self._tree is None:
             return
         msg = Message(kind, src, None, payload, radius)
@@ -1152,7 +1107,6 @@ class SynchronousKernel:
 
     def stats(self) -> SimStats:
         """Snapshot of the energy ledger and round count."""
-        self._flush_charges()
         return self._ledger.snapshot(self.rounds)
 
 

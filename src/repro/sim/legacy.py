@@ -3,11 +3,12 @@
 :class:`LegacyKernel` re-implements sending, delivery and energy charging
 exactly as the kernel did before the hot-path rework (per-recipient
 KD-tree queries in ``local_broadcast``, a flat pending list with a full
-per-round sort, unbatched ledger charges).  It exists for two reasons:
+per-round sort).  It exists for two reasons:
 
 * ``tests/test_hotpath_equivalence.py`` runs the GHS family and EOPT on
-  both kernels and asserts bit-identical energy / message / round stats
-  and MST edge sets — the contract that lets the fast path evolve;
+  both kernels and asserts bit-identical stats (every energy breakdown
+  included) and MST edge sets — the contract that lets the fast path
+  evolve;
 * ``benchmarks/bench_kernel_hotpath.py`` times both, so every future PR
   can report its speedup against a fixed pre-PR baseline.
 

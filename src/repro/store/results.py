@@ -241,6 +241,25 @@ class ResultStore:
 
     # -- raw payload API ---------------------------------------------------
 
+    @staticmethod
+    def _fetch(conn: sqlite3.Connection, key: str) -> str | None:
+        """The payload for ``key`` with its LRU stamp touched, uncommitted.
+
+        A row with a stale payload schema is dropped and reads as absent.
+        """
+        row = conn.execute(
+            "SELECT payload, schema_version FROM results WHERE key = ?", (key,)
+        ).fetchone()
+        if row is None:
+            return None
+        if int(row[1]) != SCHEMA_VERSION:
+            conn.execute("DELETE FROM results WHERE key = ?", (key,))
+            return None
+        conn.execute(
+            "UPDATE results SET last_used = ? WHERE key = ?", (time.time(), key)
+        )
+        return row[0]
+
     def get(self, key: str) -> str | None:
         """The stored payload text for ``key``, or ``None``.
 
@@ -250,30 +269,11 @@ class ResultStore:
         """
 
         def op(conn: sqlite3.Connection):
-            row = conn.execute(
-                "SELECT payload, schema_version FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None or int(row[1]) != SCHEMA_VERSION:
-                if row is not None:  # stale payload schema: drop the row
-                    conn.execute("DELETE FROM results WHERE key = ?", (key,))
-                    conn.commit()
-                return None
-            conn.execute(
-                "UPDATE results SET last_used = ? WHERE key = ?", (time.time(), key)
-            )
+            payload = self._fetch(conn, key)
             conn.commit()
-            return row[0]
+            return payload
 
         return self._run(op, None)
-
-    def _record(self, hit: bool) -> None:
-        """Advance the persistent hit/miss counters."""
-
-        def op(conn: sqlite3.Connection):
-            self._bump(conn, "hits" if hit else "misses")
-            conn.commit()
-
-        self._run(op, None)
 
     def put(self, key: str, payload: str, *, algorithm: str = "", n: int = 0) -> None:
         """Store ``payload`` under ``key`` (upsert), then enforce the bound."""
@@ -328,26 +328,33 @@ class ResultStore:
         misses — a corrupt row can never crash the caller.
         """
         key = spec.result_key()
-        payload = self.get(key)
-        if payload is not None:
-            try:
-                stored = RunReport.from_json(payload)
-            except Exception:
-                self.delete(key)
-                stored = None
-            if stored is not None and not (
-                (spec.perf and stored.perf is None)
-                or (spec.trace and stored.trace is None)
-            ):
-                self._record(hit=True)
-                return RunReport(
-                    spec=spec,
-                    result=stored.result,
-                    perf=stored.perf if spec.perf else None,
-                    trace=stored.trace if spec.trace else None,
-                )
-        self._record(hit=False)
-        return None
+
+        def op(conn: sqlite3.Connection):
+            # One transaction: the LRU touch and the hit/miss counter
+            # commit together.
+            payload = self._fetch(conn, key)
+            report = None
+            if payload is not None:
+                try:
+                    stored = RunReport.from_json(payload)
+                except Exception:
+                    conn.execute("DELETE FROM results WHERE key = ?", (key,))
+                    stored = None
+                if stored is not None and not (
+                    (spec.perf and stored.perf is None)
+                    or (spec.trace and stored.trace is None)
+                ):
+                    report = RunReport(
+                        spec=spec,
+                        result=stored.result,
+                        perf=stored.perf if spec.perf else None,
+                        trace=stored.trace if spec.trace else None,
+                    )
+            self._bump(conn, "misses" if report is None else "hits")
+            conn.commit()
+            return report
+
+        return self._run(op, None)
 
     def put_report(self, report: RunReport) -> None:
         """Persist one executed report under its spec's result key."""

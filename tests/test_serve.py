@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runspec import RunSpec
 from repro.serve import InMemoryBroker, ServeApp, create_app
 from repro.serve.http import run_http_server
@@ -181,6 +189,22 @@ class TestSubmitLifecycle:
             first = run_served(cold, store=store)
             second = run_served(warm, store=store)
         assert first == second
+
+    def test_computed_request_counts_one_store_miss(self, tmp_path):
+        """A request the store cannot answer is probed once, at submit:
+        computing it adds exactly one miss, and it is written back."""
+
+        async def scenario(call, app):
+            before = json.loads((await call("GET", "/stats"))[1])["store"]
+            _, body = await call("POST", "/runs", SPEC)
+            await wait_done(call, json.loads(body)["id"])
+            after = json.loads((await call("GET", "/stats"))[1])["store"]
+            assert after["misses"] - before["misses"] == 1
+            assert after["hits"] == before["hits"]
+            assert after["entries"] == before["entries"] + 1
+
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_served(scenario, store=store)
 
     def test_concurrent_submissions_singleflight(self, tmp_path):
         async def scenario(call, app):
@@ -350,6 +374,73 @@ class TestBrokerUnit:
             assert status == 413
 
         run_served(scenario)
+
+
+def _child_pids(pid: int) -> set[int]:
+    """Direct children of ``pid``, over every thread (Linux /proc)."""
+    kids: set[int] = set()
+    for f in Path(f"/proc/{pid}/task").glob("*/children"):
+        kids.update(int(tok) for tok in f.read_text().split())
+    return kids
+
+
+def _running(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="lists children through /proc"
+)
+def test_sigterm_stops_serve_and_its_pool_workers():
+    """``repro serve`` shuts its process pool down on SIGTERM: no pool
+    worker outlives the server, and it exits cleanly."""
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--no-cache", "--workers", "1",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        base = None
+        for line in proc.stdout:
+            m = re.search(r"listening on (http://[\d.]+:\d+)", line)
+            if m:
+                base = m.group(1)
+                break
+        assert base is not None, "serve never printed its listening line"
+        status, body = _http(base, "POST", "/runs", {"algorithm": "GHS", "n": 60})
+        assert status == 201
+        job_id = json.loads(body)["id"]
+        for _ in range(600):
+            state = json.loads(_http(base, "GET", f"/runs/{job_id}")[1])["state"]
+            if state not in ("queued", "running"):
+                break
+            time.sleep(0.05)
+        assert state == "done"
+        workers = _child_pids(proc.pid)
+        assert workers, "the compute ran without a process pool"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        # The multiprocessing resource tracker exits on its own once the
+        # server's end of its pipe closes; give it a moment to notice.
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 if __name__ == "__main__":

@@ -108,6 +108,33 @@ class TestResultStore:
             assert hit.perf is None
             assert hit.result.stats.energy_total == report.result.stats.energy_total
 
+    def test_traced_entry_serves_bare_request_byte_identical(self, tmp_path):
+        """A store entry written by a traced run answers a bare request
+        with exactly the bytes a bare ``execute`` produces: tracing does
+        not move any energy breakdown."""
+        bare = RunSpec(algorithm="MGHS", n=300, seed=5)
+        with make_store(tmp_path) as store:
+            execute(bare.with_(trace=True), store=store)
+            hit = store.get_report(bare)
+            assert hit is not None
+            assert hit.to_json(indent=None) == execute(bare).to_json(indent=None)
+
+    def test_probe_is_one_transaction(self, tmp_path):
+        """A hit touches the LRU stamp and bumps the counter in a single
+        commit (sqlite's total_changes counts both rows)."""
+        spec = RunSpec(algorithm="GHS", n=70)
+        with make_store(tmp_path) as store:
+            execute(spec, store=store)
+            commits = []
+            store._conn.set_trace_callback(
+                lambda sql: commits.append(sql) if sql == "COMMIT" else None
+            )
+            assert store.get_report(spec) is not None
+            assert store.get_report(spec.with_(seed=1)) is None
+            store._conn.set_trace_callback(None)
+            assert commits == ["COMMIT", "COMMIT"]
+            assert (store.stats()["hits"], store.stats()["misses"]) == (1, 2)
+
     def test_missing_instrumentation_is_a_miss(self, tmp_path):
         bare = RunSpec(algorithm="GHS", n=70)
         with make_store(tmp_path) as store:
