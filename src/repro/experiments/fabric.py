@@ -11,7 +11,8 @@ footprint.
 
 The fabric removes the duplication: the **parent** builds each needed
 array exactly once per ``(n, seed)`` (points) and ``(n, seed, radius)``
-(neighbor-table CSR for turbo-layout runs), copies it into a
+(neighbor-table CSR and its reverse-entry permutation ``rev``, for
+turbo-layout runs), copies it into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and ships a
 small JSON manifest with each task.  **Workers** attach the segments
 read-only, adopt the points view into the per-process instance cache
@@ -163,7 +164,10 @@ class _PointsEntry(_Published):
 
 
 class _TableSet:
-    """The three CSR segments of one published neighbor table."""
+    """The four segments of one published neighbor table.
+
+    ``indptr``, ``ids``, ``dists`` and ``rev``, in that order.
+    """
 
     def __init__(self, segments, points: np.ndarray, radius: float) -> None:
         self.segments = segments
@@ -278,8 +282,7 @@ def manifest_for_specs(specs) -> list | None:
         tset = _published.get(key)
         if tset is None:
             pts = _published[("points", n, seed)].array
-            indptr, ids, dists = neighbor_csr_arrays(pts, r)
-            segs = tuple(_create_segment(a) for a in (indptr, ids, dists))
+            segs = tuple(_create_segment(a) for a in neighbor_csr_arrays(pts, r))
             if any(s is None for s in segs):
                 for s in segs:
                     if s is not None:
@@ -292,7 +295,7 @@ def manifest_for_specs(specs) -> list | None:
             )
         _published.move_to_end(key)
         live.add(key)
-        ip, ids_seg, d_seg = tset.segments
+        ip, ids_seg, d_seg, rev_seg = tset.segments
         manifest.append(
             {
                 "kind": "table",
@@ -302,6 +305,7 @@ def manifest_for_specs(specs) -> list | None:
                 "shm_indptr": ip.shm.name,
                 "shm_ids": ids_seg.shm.name,
                 "shm_dists": d_seg.shm.name,
+                "shm_rev": rev_seg.shm.name,
                 "m": int(len(ids_seg.array)),
             }
         )
@@ -379,9 +383,10 @@ def attach_manifest(manifest) -> None:
             indptr = _attach_array(entry["shm_indptr"], (n + 1,), np.int64)
             ids = _attach_array(entry["shm_ids"], (m,), np.int64)
             dists = _attach_array(entry["shm_dists"], (m,), np.float64)
-            if indptr is None or ids is None or dists is None:
+            rev = _attach_array(entry["shm_rev"], (m,), np.intp)
+            if indptr is None or ids is None or dists is None or rev is None:
                 continue
-            table = make_neighbor_table(entry["radius"], indptr, ids, dists)
+            table = make_neighbor_table(entry["radius"], indptr, ids, dists, rev)
             _attached[key] = table
             _register_table(pts, entry["radius"], table)
 

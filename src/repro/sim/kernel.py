@@ -129,47 +129,93 @@ def table_within_budget(n: int, radius: float) -> bool:
 
 def neighbor_csr_arrays(
     points: np.ndarray, radius: float, *, tree: "cKDTree | None" = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbor-table CSR payload ``(indptr, ids, dists)`` at ``radius``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbor-table payload ``(indptr, ids, dists, rev)`` at ``radius``.
 
     Exactly the arrays :meth:`SynchronousKernel._build_neighbor_table`
-    assembles — same ``query_pairs`` enumeration, same float distance
-    expression, same ``(src, dist)`` lexsort — returned as plain arrays
-    so they can be staged in shared memory and rehydrated elsewhere via
-    :func:`make_neighbor_table`.
+    assembles, returned as plain arrays so they can be staged in shared
+    memory and rehydrated elsewhere via :func:`make_neighbor_table`.
+
+    The ``P`` pairs of one ``query_pairs`` call give ``2P`` directed
+    entries: entry ``k < P`` is pair ``k`` as enumerated, entry ``k + P``
+    its reverse.  Each CSR row lists its entries by distance, ties by
+    entry index.  Both directions of a pair share one distance, so the
+    ``P`` pair distances are argsorted once into dense ranks (equal
+    distances, equal ranks) and one stable argsort of the integer key
+    ``src * n_ranks + rank`` orders the entries.  Entries ``k`` and
+    ``k ± P`` are each other's reverse, so ``rev`` (the row index of the
+    reverse of every entry) is ``inv(order)[partner(order)]``: one
+    scatter and one gather.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if tree is None:
         tree = cKDTree(pts)
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs):
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        diff = pts[src] - pts[dst]
-        dx, dy = diff[:, 0], diff[:, 1]
-        # Same float expression as the scalar unicast path, so the
-        # cached distances are bit-identical to recomputation.
-        dist = np.sqrt(dx * dx + dy * dy)
-        order = np.lexsort((dist, src))
-        src, dst, dist = src[order], dst[order], dist[order]
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-        dist = np.zeros(0)
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    return indptr.astype(np.int64), dst.astype(np.int64, copy=False), dist
+    p = len(pairs)
+    a, b = pairs[:, 0], pairs[:, 1]
+    x, y = pts[:, 0], pts[:, 1]
+    dx = x[a] - x[b]
+    dy = y[a] - y[b]
+    # Same float expression as the scalar unicast path, so the cached
+    # distances are bit-identical to recomputation; the reverse entry
+    # negates dx and dy exactly and gets the same bits.
+    dist = np.sqrt(dx * dx + dy * dy)
+    del dx, dy
+
+    by_dist = np.argsort(dist)
+    step = np.zeros(p, dtype=np.int64)
+    sorted_dist = dist[by_dist]
+    np.not_equal(sorted_dist[1:], sorted_dist[:-1], out=step[1:])
+    del sorted_dist
+    np.cumsum(step, out=step)
+    n_ranks = int(step[-1]) + 1 if p else 1
+    rank = np.empty(p, dtype=np.int64)
+    rank[by_dist] = step
+    del by_dist, step
+
+    key = np.empty(2 * p, dtype=np.int64)
+    np.multiply(a, n_ranks, out=key[:p])
+    np.multiply(b, n_ranks, out=key[p:])
+    key[:p] += rank
+    key[p:] += rank
+    del rank
+    order = np.argsort(key, kind="stable")
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    counts = np.bincount(a, minlength=n)
+    counts += np.bincount(b, minlength=n)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    # The key buffer is dead after the sort: reuse it for entry dsts.
+    ids = np.concatenate((b, a), out=key)[order]
+    del key, pairs, a, b
+    # mode="wrap" reads pair k mod P for entry k.
+    dists = np.take(dist, order, mode="wrap")
+    del dist
+
+    inv = np.empty(2 * p, dtype=np.intp)
+    inv[order] = np.arange(2 * p, dtype=np.intp)
+    # The partner of entry k is k + P for k < P and k - P otherwise;
+    # k - P indexes inv (length 2P) at exactly that entry in both cases.
+    order -= p
+    rev = inv[order]
+    return indptr, ids, dists, rev
 
 
 def make_neighbor_table(
-    radius: float, indptr: np.ndarray, ids: np.ndarray, dists: np.ndarray
+    radius: float,
+    indptr: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+    rev: np.ndarray,
 ) -> "_NeighborTable":
-    """Rehydrate a neighbor table from its CSR payload arrays.
+    """Build a neighbor table from its payload arrays.
 
     The arrays may be views over shared memory; the table never writes
     to them (its lazy mirrors and caches are private side tables).
     """
-    return _NeighborTable(float(radius), list(indptr), ids, dists)
+    return _NeighborTable(float(radius), indptr.tolist(), ids, dists, rev)
 
 
 #: Optional neighbor-table provider hook: ``fn(points, radius) ->
@@ -207,11 +253,12 @@ class _NeighborTable:
 
     ``ids``/``dists`` are the CSR payload arrays (``searchsorted`` radius
     cutoffs need the float64 array; broadcast descriptors keep views into
-    both).  ``ids_list``/``dists_list`` mirror them as plain Python lists
-    so the per-source ``{neighbor: distance}`` dicts (``dist_of``, built
-    lazily on a node's first unicast) hold native ints and floats.  The
-    mirrors are built lazily: at n=10^6 an RGG table holds ~10^8 entries
-    and the eager ``tolist()`` copies alone cost multiple GB, while the
+    both); ``rev``, the reverse-entry permutation, is built with them.
+    ``ids_list``/``dists_list`` mirror ``ids``/``dists`` as plain Python
+    lists so the per-source ``{neighbor: distance}`` dicts (``dist_of``,
+    built lazily on a node's first unicast) hold native ints and floats.
+    The mirrors are built lazily: at n=10^6 an RGG table holds ~10^8
+    entries and the eager ``tolist()`` copies alone cost multiple GB, while the
     only reader of the full mirrors is the ``_flat_pending`` branch of
     :meth:`SynchronousKernel._send_broadcast`, which the contention
     kernel reaches (the legacy kernel overrides both send paths with
@@ -238,6 +285,7 @@ class _NeighborTable:
         indptr: list[int],
         ids: np.ndarray,
         dists: np.ndarray,
+        rev: np.ndarray,
     ) -> None:
         self.max_radius = max_radius
         self.indptr = indptr
@@ -247,7 +295,7 @@ class _NeighborTable:
         self._ids_list: list[int] | None = None
         self._dists_list: list[float] | None = None
         self.dist_of: list[dict[int, float] | None] = [None] * (len(indptr) - 1)
-        self._rev: np.ndarray | None = None
+        self._rev = rev
 
     @property
     def ids_list(self) -> list[int]:
@@ -271,25 +319,11 @@ class _NeighborTable:
 
         The table holds both directions of every pair, so this is a
         permutation (an involution); flood-plane delivery uses it to map
-        a sender's CSR row onto the recipients' cache slots.  Built
-        lazily — only plane-using runs pay for it.
+        a sender's CSR row onto the recipients' cache slots.  It comes
+        with the table: :func:`neighbor_csr_arrays` derives it from the
+        pair enumeration in O(E), and the instance fabric ships it.
         """
-        r = self._rev
-        if r is None:
-            n = len(self.indptr) - 1
-            src = np.repeat(
-                np.arange(n, dtype=np.intp), np.diff(self.indptr_arr)
-            )
-            dst = self.ids
-            # k-th edge in (src, dst) order is the reverse of the k-th
-            # edge in (dst, src) order: the symmetric edge set enumerates
-            # the same ordered pairs either way.
-            fwd = np.lexsort((dst, src))
-            bwd = np.lexsort((src, dst))
-            r = np.empty(len(dst), dtype=np.intp)
-            r[fwd] = bwd
-            self._rev = r
-        return r
+        return self._rev
 
     def neighbors_of(self, src: int) -> dict[int, float]:
         """The (lazily built) ``{neighbor: distance}`` map for ``src``."""
@@ -486,8 +520,9 @@ class SynchronousKernel:
                     perf.add("kernel.nbr_table_provided")
                 return table
         with perf.timed("kernel.nbr_table_build"):
-            indptr, dst, dist = neighbor_csr_arrays(self.points, r, tree=self._tree)
-            table = _NeighborTable(r, indptr.tolist(), dst, dist)
+            table = make_neighbor_table(
+                r, *neighbor_csr_arrays(self.points, r, tree=self._tree)
+            )
         if perf.enabled:
             perf.add("kernel.nbr_table_builds")
             perf.add("kernel.nbr_table_entries", len(table.ids))
@@ -521,7 +556,8 @@ class SynchronousKernel:
         and ``payloads`` are parallel arrays, ``counts[i]`` recipients
         belong to ``senders[i]``, and ``edge_idx`` indexes the delivered
         (sender, recipient) edges into ``table.ids`` / ``table.dists``
-        (recipient-side cache slots are ``table.rev[edge_idx]``).
+        (recipient-side cache slots are ``table.rev[edge_idx]``; the
+        table carries ``rev`` from its build, so delivery never sorts).
 
         Flat-delivery kernels (legacy reference, contention) have strict
         per-message semantics and never run planes; registering a

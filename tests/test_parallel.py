@@ -289,6 +289,38 @@ class TestInstanceFabric:
         assert rebuilt is not shared
         assert np.array_equal(rebuilt, shared)
 
+    def test_attached_table_carries_rev_and_native_indptr(self):
+        """A worker attaches ``rev`` with the CSR: it equals the locally
+        built permutation, and ``indptr`` holds Python ints like a
+        locally built table's, so the scalar send paths never do
+        numpy-scalar arithmetic."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import fabric
+        from repro.experiments.instances import get_points
+        from repro.geometry.radius import connectivity_radius
+        from repro.runspec import RunSpec
+        from repro.sim.kernel import neighbor_csr_arrays
+
+        shutdown()
+        spec = RunSpec(algorithm="MGHS", n=300, seed=4, kernel="turbo")
+        manifest = fabric.manifest_for_specs([spec])
+        if manifest is None:
+            pytest.skip("shared memory unavailable on this host")
+        try:
+            assert any("shm_rev" in e for e in manifest if e["kind"] == "table")
+            ctx = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+                rev, indptr_types = pool.submit(_attached_table_view, manifest).result()
+        finally:
+            shutdown()
+        r = connectivity_radius(300, spec.ghs_radius_const)
+        local = neighbor_csr_arrays(get_points(300, 4), r)[3]
+        assert rev.dtype == local.dtype
+        np.testing.assert_array_equal(rev, local)
+        assert indptr_types == {int}
+
     def test_attach_of_missing_segment_degrades(self):
         """A worker racing an eviction just rebuilds locally."""
         from repro.experiments import fabric
@@ -300,6 +332,17 @@ class TestInstanceFabric:
         )
         assert len(fabric._attached) == before
         assert get_points(50, 0).shape == (50, 2)
+
+
+def _attached_table_view(manifest):
+    """Pool worker: attach ``manifest``, report the table's ``rev`` and
+    the types in its ``indptr``."""
+    from repro.experiments import fabric
+
+    fabric.attach_manifest(manifest)
+    (e,) = [e for e in manifest if e["kind"] == "table"]
+    table = fabric._attached[("table", e["n"], e["seed"], float(e["radius"]))]
+    return np.array(table.rev), {type(v) for v in table.indptr}
 
 
 class TestSerialFallback:
